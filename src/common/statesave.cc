@@ -186,7 +186,8 @@ durableWriteFile(const std::string &path, const void *data, size_t len,
             *errno_out = err;
     };
     const std::string tmp = path + ".tmp";
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    int fd = ::open(tmp.c_str(),
+                    O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
     if (fd < 0) {
         fail(errno);
         return Status::ioError("cannot create " + tmp + ": " +
@@ -236,7 +237,7 @@ durableWriteFile(const std::string &path, const void *data, size_t len,
     std::string dir = ".";
     if (auto slash = path.find_last_of('/'); slash != std::string::npos)
         dir = path.substr(0, slash == 0 ? 1 : slash);
-    int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
     if (dfd >= 0) {
         (void)::fsync(dfd);
         ::close(dfd);

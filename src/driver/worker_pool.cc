@@ -163,7 +163,7 @@ bool
 WorkerPool::probeChildReapCapability()
 {
     int pipe_fds[2] = {-1, -1};
-    if (::pipe(pipe_fds) != 0)
+    if (::pipe2(pipe_fds, O_CLOEXEC) != 0)
         return false;
     for (const int fd : pipe_fds)
         ::fcntl(fd, F_SETFL, O_NONBLOCK);
@@ -226,7 +226,7 @@ WorkerPool::start()
         degraded_.store(true, std::memory_order_relaxed);
         return Status{};
     }
-    if (::pipe(chldPipe_) == 0) {
+    if (::pipe2(chldPipe_, O_CLOEXEC) == 0) {
         for (const int fd : chldPipe_)
             ::fcntl(fd, F_SETFL, O_NONBLOCK);
         if (!registerChldWakeFd(chldPipe_[1])) {
@@ -448,8 +448,12 @@ WorkerPool::spawnWorker(Slot *slot)
     const bool flap =
         driverFaultFires(DriverFaultPoint::WorkerFlap, spawnSeq_++);
 
+    // Both ends close-on-exec: a worker forked concurrently on another
+    // slot must not inherit this pair, or the parent's end never reads
+    // EOF when this slot's worker dies. The child's fd 3 is the one
+    // deliberate exception, cleared below.
     int sv[2] = {-1, -1};
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
         return Status::ioError(std::string("socketpair: ") +
                                std::strerror(errno));
 
@@ -478,11 +482,15 @@ WorkerPool::spawnWorker(Slot *slot)
                                std::strerror(errno));
     }
     if (pid == 0) {
-        // Child: dup2/execv/_exit only (async-signal-safe).
+        // Child: dup2/fcntl/execv/_exit only (async-signal-safe).
+        // dup2 leaves fd 3 without FD_CLOEXEC; an sv[1] that already
+        // is fd 3 needs the flag cleared by hand.
         ::close(sv[0]);
         if (sv[1] != 3) {
             ::dup2(sv[1], 3);
             ::close(sv[1]);
+        } else {
+            ::fcntl(3, F_SETFD, 0);
         }
         ::execv(argv[0], argv.data());
         ::_exit(127);

@@ -36,7 +36,7 @@ class Connection
             timeout_ms == 0
                 ? Clock::time_point{}
                 : Clock::now() + std::chrono::milliseconds(timeout_ms);
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
         if (fd < 0)
             return Status::ioError(std::string("socket: ") +
                                    std::strerror(errno));

@@ -24,13 +24,16 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "cpu/ooo_cpu.hh"
 #include "driver/sim_snapshot.hh"
 #include "driver/trace_cache.hh"
 #include "driver/worker_pool.hh"
 #include "faultinject/driver_faults.hh"
+#include "fd_test_util.hh"
 #include "service_test_util.hh"
 #include "vm/recorded_trace.hh"
 #include "workload/workload.hh"
@@ -634,6 +637,38 @@ TEST_F(ServiceTest, IsolateJobsIsByteIdenticalAndLeavesNoZombies)
     errno = 0;
     EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
     EXPECT_EQ(errno, ECHILD);
+}
+
+TEST_F(ServiceTest, IsolatedWorkersInheritOnlyTheirJobSocket)
+{
+    // Workers fork while the daemon's listen socket, wake pipe and
+    // the client's connection (both ends live in this process) are
+    // open. None of those may reach a worker: it keeps only stdio and
+    // its own job socket at fd 3.
+    if (driver::WorkerPool::resolveWorkerBinary("").empty())
+        GTEST_SKIP() << "rarpred-worker not built in this tree";
+    std::set<int> want = testutil::inheritableFds();
+    want.insert(3);
+
+    Paths paths("isofds");
+    DaemonConfig config = testDaemonConfig(paths);
+    config.isolateJobs = true;
+    config.workers = 4;
+    SweepDaemon daemon(config);
+    ASSERT_TRUE(daemon.serve().ok());
+    SweepRequestMsg req = smallRequest();
+    req.workloads = {"li", "com"};
+    auto reply = ServiceClient(paths.socket).sweep(req);
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    EXPECT_EQ(reply->done.errors, 0u);
+
+    ASSERT_NE(daemon.workerPool(), nullptr);
+    const std::vector<int> kids = testutil::childPids();
+    EXPECT_EQ(kids.size(), daemon.workerPool()->stats().spawned);
+    EXPECT_GE(kids.size(), 1u);
+    for (const int pid : kids)
+        EXPECT_EQ(testutil::openFds(pid), want) << "worker pid " << pid;
+    daemon.stop();
 }
 
 TEST_F(ServiceTest, IsolatedDaemonSurvivesWorkerCrashEndToEnd)

@@ -23,12 +23,15 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "driver/sim_job_runner.hh"
 #include "driver/sweep.hh"
 #include "driver/worker_pool.hh"
 #include "faultinject/driver_faults.hh"
+#include "fd_test_util.hh"
 #include "service/proto.hh"
 #include "workload/workload.hh"
 
@@ -285,6 +288,44 @@ TEST_F(WorkerPoolTest, StopReapsEveryWorkerNoZombiesLeft)
     // After stop, the pool refuses work instead of spawning anew.
     EXPECT_EQ(pool.runJob(job).status().code(),
               StatusCode::Unavailable);
+}
+
+TEST_F(WorkerPoolTest, WorkersInheritOnlyTheirJobSocket)
+{
+    // Four concurrent jobs on four slots: each worker is forked while
+    // sibling slots' sockets and the SIGCHLD self-pipe are open in
+    // this process. A worker may keep only stdio and its own job
+    // socket at fd 3. An inherited sibling end would keep that
+    // sibling's socket open after its worker dies, so the supervisor
+    // would see no EOF and book the crash as a hang.
+    std::set<int> want = testutil::inheritableFds();
+    want.insert(3);
+
+    WorkerPoolConfig cfg;
+    cfg.workers = 4;
+    WorkerPool pool(cfg);
+    ASSERT_TRUE(pool.start().ok());
+    std::vector<Status> results(4);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < results.size(); ++i)
+        threads.emplace_back([&pool, &results, i] {
+            WorkerJobDesc job;
+            job.token = i;
+            job.workload = testWorkloads()[i % 2]->abbrev;
+            job.maxInsts = kMaxInsts;
+            job.config = testGrid()[i / 2];
+            results[i] = pool.runJob(job).status();
+        });
+    for (std::thread &t : threads)
+        t.join();
+    for (const Status &s : results)
+        ASSERT_TRUE(s.ok()) << s.toString();
+
+    const std::vector<int> kids = testutil::childPids();
+    EXPECT_EQ(kids.size(), pool.stats().spawned);
+    for (const int pid : kids)
+        EXPECT_EQ(testutil::openFds(pid), want) << "worker pid " << pid;
+    pool.stop();
 }
 
 TEST_F(WorkerPoolTest, WorkerReportsUnknownWorkloadAsAnError)

@@ -15,8 +15,10 @@
 #include "core/profile_cloaking.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (const int rc = rarpred::benchutil::rejectArguments(argc, argv))
+        return rc;
     using namespace rarpred;
 
     std::printf("Extensions: combined cloaking+VP and profile-guided "

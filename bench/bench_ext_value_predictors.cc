@@ -13,8 +13,10 @@
 #include "core/value_predictor.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (const int rc = rarpred::benchutil::rejectArguments(argc, argv))
+        return rc;
     using namespace rarpred;
 
     std::printf("Extensions: value predictor family vs cloaking\n");

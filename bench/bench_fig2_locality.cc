@@ -20,8 +20,10 @@
 #include "bench_util.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (const int rc = rarpred::benchutil::rejectArguments(argc, argv))
+        return rc;
     std::printf("Figure 2: RAR memory dependence locality (n = 1..4)\n\n");
     std::printf("%-6s | %6s %6s %6s %6s | %6s %6s %6s %6s | %s | %s\n",
                 "prog", "inf:1", "2", "3", "4", "4K:1", "2", "3", "4",

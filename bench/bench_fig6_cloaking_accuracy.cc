@@ -33,8 +33,10 @@ makeConfig(rarpred::ConfidenceKind conf)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (const int rc = rarpred::benchutil::rejectArguments(argc, argv))
+        return rc;
     using rarpred::ConfidenceKind;
 
     std::printf("Figure 6: cloaking accuracy per dependence type\n");

@@ -19,8 +19,10 @@
 #include "core/cloaking.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (const int rc = rarpred::benchutil::rejectArguments(argc, argv))
+        return rc;
     std::printf("Figure 7: address/value locality vs cloaking coverage\n");
     std::printf("(128-entry DDT; percentages over all loads)\n\n");
     std::printf("%-6s | %28s | %28s | %15s\n", "",

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "analysis/inst_mix.hh"
+#include "bench_util.hh"
 #include "vm/micro_vm.hh"
 #include "workload/workload.hh"
 
@@ -46,8 +47,10 @@ paperRowFor(const std::string &abbrev)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (const int rc = rarpred::benchutil::rejectArguments(argc, argv))
+        return rc;
     std::printf("Table 5.1: Benchmark Execution Characteristics\n");
     std::printf("(synthetic reproductions; paper values in parens)\n\n");
     std::printf("%-14s %-5s %12s %18s %18s\n", "Program", "Ab.",

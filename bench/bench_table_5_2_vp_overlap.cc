@@ -20,8 +20,10 @@
 #include "core/value_predictor.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (const int rc = rarpred::benchutil::rejectArguments(argc, argv))
+        return rc;
     std::printf("Table 5.2: loads correct via cloaking/bypassing but not "
                 "value prediction, and vice versa\n");
     std::printf("(16K DPNT, 128 DDT, 2K SF; 16K fully-assoc last-value "

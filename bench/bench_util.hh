@@ -7,11 +7,27 @@
 #define RARPRED_BENCH_BENCH_UTIL_HH_
 
 #include <cstdint>
+#include <cstdio>
 
 #include "vm/micro_vm.hh"
 #include "workload/workload.hh"
 
 namespace rarpred::benchutil {
+
+/**
+ * Argument check for the benches that take none: with any argument,
+ * print a one-line usage and return exit code 2; otherwise return 0.
+ * A flag the bench would not read fails loudly instead of being
+ * silently ignored.
+ */
+inline int
+rejectArguments(int argc, char **argv)
+{
+    if (argc <= 1)
+        return 0;
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+}
 
 /** Execute @p w's program, feeding the trace to @p sink. */
 inline uint64_t

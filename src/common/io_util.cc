@@ -1,9 +1,6 @@
 #include "common/io_util.hh"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -198,113 +195,6 @@ connectDeadline(int fd, const struct sockaddr *addr,
         return Status::unavailable(std::string("connect: ") +
                                    std::strerror(soerr));
     return Status{};
-}
-
-namespace {
-
-Result<struct sockaddr_in>
-parseIpv4(const std::string &host, uint16_t port)
-{
-    struct sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1)
-        return Status::invalidArgument(
-            "not a numeric IPv4 address: '" + host + "'");
-    return sa;
-}
-
-} // namespace
-
-Result<int>
-tcpConnect(const std::string &host, uint16_t port,
-           uint64_t timeout_ms)
-{
-    auto sa = parseIpv4(host, port);
-    RARPRED_RETURN_IF_ERROR(sa.status());
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return Status::ioError(std::string("socket: ") +
-                               std::strerror(errno));
-    const Status s = connectDeadline(
-        fd, reinterpret_cast<const struct sockaddr *>(&*sa),
-        sizeof(*sa), timeout_ms);
-    if (!s.ok()) {
-        ::close(fd);
-        return Status{s.code(), "connect " + host + ":" +
-                                    std::to_string(port) + ": " +
-                                    s.message()};
-    }
-    // Leases are small frames on a chatty path; never Nagle-delay a
-    // heartbeat.
-    int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                       sizeof(one));
-    return fd;
-}
-
-Result<int>
-tcpListen(const std::string &host, uint16_t port, int backlog)
-{
-    auto sa = parseIpv4(host, port);
-    RARPRED_RETURN_IF_ERROR(sa.status());
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return Status::ioError(std::string("socket: ") +
-                               std::strerror(errno));
-    int one = 1;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                       sizeof(one));
-    if (::bind(fd, reinterpret_cast<const struct sockaddr *>(&*sa),
-               sizeof(*sa)) != 0) {
-        const int err = errno;
-        ::close(fd);
-        return Status::ioError("bind " + host + ":" +
-                               std::to_string(port) + ": " +
-                               std::strerror(err));
-    }
-    if (::listen(fd, backlog) != 0) {
-        const int err = errno;
-        ::close(fd);
-        return Status::ioError(std::string("listen: ") +
-                               std::strerror(err));
-    }
-    return fd;
-}
-
-Result<uint16_t>
-tcpLocalPort(int fd)
-{
-    struct sockaddr_in sa;
-    socklen_t len = sizeof(sa);
-    if (::getsockname(fd, reinterpret_cast<struct sockaddr *>(&sa),
-                      &len) != 0)
-        return Status::ioError(std::string("getsockname: ") +
-                               std::strerror(errno));
-    return (uint16_t)ntohs(sa.sin_port);
-}
-
-Result<int>
-acceptDeadline(int listen_fd, uint64_t timeout_ms)
-{
-    auto ready = pollDeadline(listen_fd, POLLIN,
-                              monoMs() + timeout_ms,
-                              /*forever=*/timeout_ms == 0);
-    RARPRED_RETURN_IF_ERROR(ready.status());
-    if (*ready == 0)
-        return Status::deadlineExceeded(
-            "accept timed out after " + std::to_string(timeout_ms) +
-            " ms");
-    for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd >= 0)
-            return fd;
-        if (errno == EINTR)
-            continue;
-        return Status::ioError(std::string("accept: ") +
-                               std::strerror(errno));
-    }
 }
 
 Result<bool>

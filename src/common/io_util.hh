@@ -66,11 +66,10 @@ Result<size_t> recvChunk(int fd, void *buf, size_t len);
 
 // ------------------------------------- sockets with deadlines
 //
-// The fleet dispatcher and the service client must never block
-// indefinitely on a peer that stopped answering: every connect,
-// accept, and read is bounded by an explicit deadline, after which
-// the caller decides (retry another agent, expire a lease, surface
-// DeadlineExceeded). All helpers retry EINTR; deadlines are absolute
+// The service client must never block indefinitely on a daemon that
+// stopped answering: every connect and read is bounded by an explicit
+// deadline, after which the caller surfaces Unavailable or
+// DeadlineExceeded. Both helpers retry EINTR; deadlines are absolute
 // so a signal storm cannot extend them.
 
 /**
@@ -82,32 +81,6 @@ Result<size_t> recvChunk(int fd, void *buf, size_t len);
  */
 Status connectDeadline(int fd, const struct sockaddr *addr,
                        unsigned addr_len, uint64_t timeout_ms);
-
-/**
- * Open a TCP connection to @p host : @p port within @p timeout_ms.
- * @p host must be a numeric IPv4 address ("127.0.0.1") — the fleet
- * names agents by address, so no resolver (and no resolver stalls)
- * are involved. @return the connected fd.
- */
-Result<int> tcpConnect(const std::string &host, uint16_t port,
-                       uint64_t timeout_ms);
-
-/**
- * Create a TCP listener bound to @p host : @p port (0 = any free
- * port) with SO_REUSEADDR. @return the listening fd; the actual
- * bound port is readable via tcpLocalPort().
- */
-Result<int> tcpListen(const std::string &host, uint16_t port,
-                      int backlog = 16);
-
-/** @return the local port a bound socket ended up on. */
-Result<uint16_t> tcpLocalPort(int fd);
-
-/**
- * Accept one connection within @p timeout_ms (0 = block forever).
- * DeadlineExceeded when nothing arrived in time; retries EINTR.
- */
-Result<int> acceptDeadline(int listen_fd, uint64_t timeout_ms);
 
 /**
  * Wait for @p fd to become readable within @p timeout_ms.

@@ -2,7 +2,7 @@
  * @file
  * Recoverable error handling: Status and Result<T>.
  *
- * The error-handling policy of this repo (see DESIGN.md §11):
+ * The error-handling policy of this repo (see DESIGN.md §10):
  *  - panic()  : internal invariant violated — a simulator bug; aborts.
  *  - fatal()  : unusable request at a *program entry point* (CLI
  *               drivers, examples); exits.

@@ -11,7 +11,6 @@
 
 #include "common/crc32.hh"
 #include "common/logging.hh"
-#include "driver/fleet_dispatcher.hh"
 #include "driver/worker_pool.hh"
 #include "faultinject/driver_faults.hh"
 
@@ -164,14 +163,6 @@ SimJobRunner::SimJobRunner(const RunnerConfig &config,
 SimJobRunner::SimJobRunner(const RunnerConfig &config,
                            TraceCache *shared_cache,
                            WorkerPool *shared_pool)
-    : SimJobRunner(config, shared_cache, shared_pool, nullptr)
-{
-}
-
-SimJobRunner::SimJobRunner(const RunnerConfig &config,
-                           TraceCache *shared_cache,
-                           WorkerPool *shared_pool,
-                           FleetDispatcher *shared_fleet)
     : config_(config),
       workers_(config.workers != 0
                    ? config.workers
@@ -201,22 +192,6 @@ SimJobRunner::SimJobRunner(const RunnerConfig &config,
         ownedPool_->start();
         pool_ = ownedPool_.get();
     }
-    // Multi-host fleet: own a dispatcher when agents were named and
-    // none is shared. The same in-process-machinery restriction as
-    // the proc pool applies.
-    fleet_ = shared_fleet;
-    if (shared_fleet == nullptr && !config.remoteAgents.empty() &&
-        config.snapshotDir.empty() && config.auditEvery == 0) {
-        FleetConfig fc;
-        fc.agents = config.remoteAgents;
-        fc.heartbeatTimeoutMs = config.workerHeartbeatTimeoutMs;
-        ownedFleet_ = std::make_unique<FleetDispatcher>(fc);
-        // A malformed agent list leaves the fleet agent-less, which
-        // degrades to local execution; the CLI validates the spec up
-        // front so users see the parse error instead.
-        ownedFleet_->start();
-        fleet_ = ownedFleet_.get();
-    }
     statGroup_.registerCounter("sweepsRun", &sweepsRun_);
     statGroup_.registerCounter("jobsCompleted", &jobsCompleted_);
     statGroup_.registerCounter("retries", &retries_);
@@ -229,14 +204,10 @@ SimJobRunner::SimJobRunner(const RunnerConfig &config,
     statGroup_.registerCounter("sweepMicrosTotal", &sweepMicrosTotal_);
     statGroup_.registerCounter("worker.fallbackInProcess",
                                &procFallbacks_);
-    statGroup_.registerCounter("fleet.fallbackLocal",
-                               &fleetFallbacks_);
 }
 
 SimJobRunner::~SimJobRunner()
 {
-    if (ownedFleet_ != nullptr)
-        ownedFleet_->stop();
     if (ownedPool_ != nullptr)
         ownedPool_->stop();
 }
@@ -332,31 +303,6 @@ SimJobRunner::runAttempt(const JobSpec &job, size_t index,
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(1));
             throw JobDeadlineExceeded{};
-        }
-
-        // Fleet route (top of the fallback ladder): lease the cell to
-        // a remote agent. A fleet-level Unavailable (degraded, every
-        // agent demoted) does not consume the attempt — it falls one
-        // rung down to the local worker pool (or in-process); any
-        // other failure is a clean agent-side verdict and feeds
-        // retry/quarantine like a local failure.
-        if (job.procConfig != nullptr && fleet_ != nullptr &&
-            !fleet_->degraded()) {
-            rarpred_assert(job.acceptProc != nullptr);
-            WorkerJobDesc desc;
-            desc.token = index;
-            desc.workload = job.workload->abbrev;
-            desc.scale = config_.scale;
-            desc.maxInsts = config_.maxInsts;
-            desc.deadlineMs = config_.jobDeadlineMs;
-            desc.config = *job.procConfig;
-            Result<CpuStats> r = fleet_->runJob(desc);
-            if (r.ok())
-                return job.acceptProc(*r);
-            if (r.status().code() != StatusCode::Unavailable)
-                return r.status();
-            std::lock_guard<std::mutex> lock(statsMu_);
-            ++fleetFallbacks_;
         }
 
         // Process-isolated route: compute the cell in a sandboxed
@@ -559,8 +505,6 @@ SimJobRunner::dumpStats(std::ostream &os) const
        << a.restoreRejected.load(std::memory_order_relaxed) << "\n";
     if (pool_ != nullptr)
         pool_->dumpStats(os);
-    if (fleet_ != nullptr)
-        fleet_->dumpStats(os);
 }
 
 } // namespace rarpred::driver

@@ -67,7 +67,6 @@ struct CellConfigMsg;
 namespace rarpred::driver {
 
 class WorkerPool;
-class FleetDispatcher;
 
 /**
  * Deterministic per-job RNG seed derived from (workload id, config
@@ -143,21 +142,8 @@ struct RunnerConfig
      * in-process machinery; stats stay byte-identical either way.
      */
     unsigned procWorkers = 0;
-    /** Kill a worker process after this much mid-job silence. Also
-     *  the fleet dispatcher's lease heartbeat budget. */
+    /** Kill a worker process after this much mid-job silence. */
     uint64_t workerHeartbeatTimeoutMs = 10000;
-
-    /**
-     * Multi-host execution (--workers-remote): dispatch each proc-
-     * dispatchable job to a fleet of rarpred-agent processes,
-     * "host:port[,host:port...]". Sits above the proc pool in the
-     * fallback ladder (fleet -> local worker pool -> in-process):
-     * a degraded or unreachable fleet transparently falls down one
-     * rung, so the sweep completes with identical stats regardless.
-     * Ignored (like procWorkers) when snapshotDir or auditEvery are
-     * set.
-     */
-    std::string remoteAgents;
 };
 
 /** One unit of work: replay one workload trace into one simulator. */
@@ -228,18 +214,6 @@ class SimJobRunner
     SimJobRunner(const RunnerConfig &config, TraceCache *shared_cache,
                  WorkerPool *shared_pool);
 
-    /**
-     * Construct a runner that additionally dispatches proc-
-     * dispatchable jobs to @p shared_fleet (may be null). The fleet
-     * must outlive the runner and be start()ed by its owner;
-     * RunnerConfig::remoteAgents is ignored when a shared fleet is
-     * given. The resident sweep service uses this to keep one fleet's
-     * connections and dedupe state warm across per-request runners.
-     */
-    SimJobRunner(const RunnerConfig &config, TraceCache *shared_cache,
-                 WorkerPool *shared_pool,
-                 FleetDispatcher *shared_fleet);
-
     ~SimJobRunner();
 
     /**
@@ -273,9 +247,6 @@ class SimJobRunner
 
     /** Worker-process pool (null without --workers-proc). */
     WorkerPool *workerPool() { return pool_; }
-
-    /** Fleet dispatcher (null without --workers-remote). */
-    FleetDispatcher *fleet() { return fleet_; }
 
     /** Snapshot/audit counters (driver.audit.*, driver.snapshot.*). */
     AuditCounters &auditCounters() { return auditCounters_; }
@@ -313,8 +284,6 @@ class SimJobRunner
     TraceCache *cache_;                      ///< owned or shared
     std::unique_ptr<WorkerPool> ownedPool_;  ///< null with a shared pool
     WorkerPool *pool_ = nullptr;             ///< owned, shared, or null
-    std::unique_ptr<FleetDispatcher> ownedFleet_; ///< null when shared
-    FleetDispatcher *fleet_ = nullptr;       ///< owned, shared, or null
     std::atomic<size_t> next_{0};
 
     // Aggregated under statsMu_ when each job completes.
@@ -331,7 +300,6 @@ class SimJobRunner
     Counter queueMicrosTotal_; ///< sum of (job start - sweep start)
     Counter sweepMicrosTotal_; ///< wall clock of run() calls
     Counter procFallbacks_;    ///< proc jobs run in-process instead
-    Counter fleetFallbacks_;   ///< fleet jobs demoted down the ladder
     uint64_t jobMicrosMax_ = 0;
     Histogram queueLatencyMs_; ///< per-job queue latency, 10ms buckets
     StatGroup statGroup_;

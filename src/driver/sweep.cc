@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "cpu/ooo_cpu.hh"
-#include "driver/fleet_dispatcher.hh"
 #include "faultinject/driver_faults.hh"
 #include "service/proto.hh"
 
@@ -17,22 +16,6 @@ allWorkloadPtrs()
     for (const Workload &w : allWorkloads())
         ptrs.push_back(&w);
     return ptrs;
-}
-
-RunnerConfig
-runnerConfigFromArgs(int argc, char **argv)
-{
-    RunnerConfig config;
-    if (const char *env = std::getenv("RARPRED_WORKERS"))
-        config.workers = (unsigned)std::strtoul(env, nullptr, 10);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--serial") == 0)
-            config.workers = 1;
-        else if (std::strncmp(argv[i], "--workers=", 10) == 0)
-            config.workers =
-                (unsigned)std::strtoul(argv[i] + 10, nullptr, 10);
-    }
-    return config;
 }
 
 namespace {
@@ -151,14 +134,6 @@ parseSweepArgs(int argc, char **argv)
             opts.runner.snapshotDir = v;
             continue;
         }
-        if (const char *v = flagValue(arg, "--workers-remote")) {
-            // Validate here so a typo'd endpoint is a CLI error, not
-            // a silently agent-less fleet.
-            RARPRED_RETURN_IF_ERROR(
-                FleetDispatcher::parseAgentList(v).status());
-            opts.runner.remoteAgents = v;
-            continue;
-        }
         Status s = numericFlag(arg, "--workers", &workers);
         if (s.ok()) {
             saw_workers = true;
@@ -257,12 +232,7 @@ sweepUsage()
         "                           processes (crash containment);\n"
         "                           implies --workers=N unless given\n"
         "  --worker-heartbeat-ms=N  kill a silent worker process\n"
-        "                           after N ms (default 10000); also\n"
-        "                           the fleet lease heartbeat budget\n"
-        "  --workers-remote=H:P[,H:P...]\n"
-        "                           lease jobs to rarpred-agent hosts;\n"
-        "                           falls back to local execution when\n"
-        "                           the fleet is unreachable\n"
+        "                           after N ms (default 10000)\n"
         "  --scale=N                workload scale (default 1)\n"
         "  --max-insts=N            truncate traces to N instructions\n"
         "  --retries=N              retry failed jobs N times (default 2)\n"
@@ -283,7 +253,6 @@ sweepUsage()
         "cache_pressure, snapshot_torn, snapshot_stale,\n"
         "state_bitflip, epoch_kill, worker_crash, worker_hang,\n"
         "worker_flap, worker_result_torn, worker_result_dup,\n"
-        "net_drop, net_partition, net_slow, agent_kill, result_dup,\n"
         "store_enospc) for crash drills.\n";
 }
 
@@ -304,6 +273,16 @@ finishSweep(SimJobRunner &runner, const Status &status, std::ostream &err,
         return 130;
     }
     return 1;
+}
+
+CpuStats
+simulateCell(const service::CellConfigMsg &config, TraceSource &trace)
+{
+    CpuConfig core;
+    core.memDep = config.memDepPolicy();
+    OooCpu cpu(core, config.toTimingConfig());
+    pumpSimulation(trace, cpu);
+    return cpu.stats();
 }
 
 SweepResult<CpuStats>
@@ -399,11 +378,7 @@ runCellSweep(SimJobRunner &runner,
             job.configHash = ci;
             job.run = [cfg, commit](TraceSource &trace,
                                     Rng &) -> Status {
-                CpuConfig core;
-                core.memDep = cfg->memDepPolicy();
-                OooCpu cpu(core, cfg->toTimingConfig());
-                pumpSimulation(trace, cpu);
-                return commit(cpu.stats());
+                return commit(simulateCell(*cfg, trace));
             };
             job.procConfig = cfg;
             job.acceptProc = commit;

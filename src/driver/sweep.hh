@@ -60,7 +60,6 @@ struct SweepIo
  *                              processes (crash containment); also
  *                              sets --workers=N unless given
  *   --worker-heartbeat-ms=N    kill a silent worker process after N ms
- *   --workers-remote=H:P[,...] lease jobs to rarpred-agent hosts
  *   --scale=N                  workload scale for trace generation
  *   --max-insts=N              truncate traces to N instructions
  *   --retries=N                retry a failed job N times (default 2)
@@ -111,15 +110,6 @@ const char *sweepUsage();
 int finishSweep(SimJobRunner &runner, const Status &status,
                 std::ostream &err, const StatsMerger *merger = nullptr);
 
-/**
- * Build a RunnerConfig from bench CLI flags, accepted anywhere in
- * argv and ignored otherwise: --workers=N, --serial (same as
- * --workers=1). The RARPRED_WORKERS environment variable applies
- * when no flag is given; default is hardware concurrency.
- * Prefer parseSweepArgs() in new drivers — it validates.
- */
-RunnerConfig runnerConfigFromArgs(int argc, char **argv);
-
 namespace detail {
 
 template <typename T>
@@ -153,6 +143,16 @@ struct SweepResult
 
     size_t size() const { return cells.size(); }
 };
+
+/**
+ * The standard CPU cell: simulate @p trace on an OooCpu built from
+ * @p config and return its stats. This is the one cell body behind
+ * runCellSweep(), rarpred-worker and the sweep service. It pumps
+ * through pumpSimulation(), so the calling thread's SimContext
+ * (--snapshot-dir, --audit-every) applies when it runs in-process.
+ */
+CpuStats simulateCell(const service::CellConfigMsg &config,
+                      TraceSource &trace);
 
 /**
  * Run @p cell for every (workload, config index) pair, workload-

@@ -38,8 +38,7 @@
 
 #include "common/io_util.hh"
 #include "common/status.hh"
-#include "cpu/ooo_cpu.hh"
-#include "driver/sim_snapshot.hh"
+#include "driver/sweep.hh"
 #include "driver/trace_cache.hh"
 #include "service/proto.hh"
 #include "vm/recorded_trace.hh"
@@ -166,11 +165,7 @@ runOne(const service::JobRequestMsg &req, driver::TraceCache &cache,
         BeaconTraceSource beacon(
             replay, fd, req.token,
             req.deadlineMs != 0 ? nowMs() + req.deadlineMs : 0);
-        CpuConfig core;
-        core.memDep = req.config.memDepPolicy();
-        OooCpu cpu(core, req.config.toTimingConfig());
-        driver::pumpSimulation(beacon, cpu);
-        res.stats = cpu.stats();
+        res.stats = driver::simulateCell(req.config, beacon);
     } catch (const WorkerDeadlineExceeded &) {
         res.errorCode = (uint8_t)StatusCode::DeadlineExceeded;
         res.errorMsg = "job exceeded its " +

@@ -8,7 +8,7 @@ namespace rarpred {
 
 namespace {
 
-constexpr size_t kNumPoints = 24;
+constexpr size_t kNumPoints = (size_t)DriverFaultPoint::StoreEnospc + 1;
 
 struct Arming
 {
@@ -65,16 +65,6 @@ driverFaultPointName(DriverFaultPoint point)
         return "worker_result_torn";
       case DriverFaultPoint::WorkerResultDup:
         return "worker_result_dup";
-      case DriverFaultPoint::NetDrop:
-        return "net_drop";
-      case DriverFaultPoint::NetPartition:
-        return "net_partition";
-      case DriverFaultPoint::NetSlow:
-        return "net_slow";
-      case DriverFaultPoint::AgentKill:
-        return "agent_kill";
-      case DriverFaultPoint::ResultDup:
-        return "result_dup";
       case DriverFaultPoint::StoreEnospc:
         return "store_enospc";
     }
@@ -197,16 +187,6 @@ armOneSpec(const std::string &item)
         point = DriverFaultPoint::WorkerResultTorn;
     else if (name == "worker_result_dup")
         point = DriverFaultPoint::WorkerResultDup;
-    else if (name == "net_drop")
-        point = DriverFaultPoint::NetDrop;
-    else if (name == "net_partition")
-        point = DriverFaultPoint::NetPartition;
-    else if (name == "net_slow")
-        point = DriverFaultPoint::NetSlow;
-    else if (name == "agent_kill")
-        point = DriverFaultPoint::AgentKill;
-    else if (name == "result_dup")
-        point = DriverFaultPoint::ResultDup;
     else if (name == "store_enospc")
         point = DriverFaultPoint::StoreEnospc;
     else

@@ -65,23 +65,6 @@
  *                      stale duplicate arrives ahead of the next
  *                      job's result on the same slot and must be
  *                      dropped, never matched to the wrong cell.
- *  - NetDrop         : the fleet dispatcher loses the agent
- *                      connection right after sending a lease; the
- *                      lease must expire and the cell be reassigned.
- *  - NetPartition    : a fleet connect attempt fails as if the agent
- *                      host were unreachable; capped-backoff
- *                      reconnects must ride it out (or demote the
- *                      agent when it persists).
- *  - NetSlow         : the agent stalls without heartbeats before
- *                      serving a lease (straggler drill); the
- *                      dispatcher must expire the lease at the
- *                      heartbeat deadline and reassign.
- *  - AgentKill       : the agent process raises SIGKILL on receipt
- *                      of the Nth lease — every connection to it
- *                      drops mid-cell and the cells are reassigned.
- *  - ResultDup       : the agent sends a LeaseResult twice; the
- *                      dispatcher must dedupe by cell fingerprint
- *                      and assert the duplicate is byte-identical.
  *  - StoreEnospc     : the result store's durable write fails as if
  *                      the disk were full; the write must degrade to
  *                      a non-fatal Unavailable (skip caching, still
@@ -129,12 +112,7 @@ enum class DriverFaultPoint : uint8_t
     WorkerFlap,
     WorkerResultTorn,
     WorkerResultDup,
-    NetDrop,
-    NetPartition,
-    NetSlow,
-    AgentKill,
-    ResultDup,
-    StoreEnospc,
+    StoreEnospc, ///< keep last: sizes the arming table
 };
 
 /** @return stable spec name for @p point ("job_crash", ...). */
@@ -173,8 +151,7 @@ uint64_t driverFaultFireCount(DriverFaultPoint point);
  *               request_torn | store_corrupt | daemon_kill |
  *               worker_crash | worker_hang | worker_flap |
  *               worker_result_torn | worker_result_dup |
- *               net_drop | net_partition | net_slow | agent_kill |
- *               result_dup | store_enospc
+ *               store_enospc
  *   index    := decimal target index, or "*" for any
  *   times    := decimal fire budget (default 1)
  * e.g. "job_kill:40", "job_crash:3x2,cache_pressure:*".

@@ -61,7 +61,6 @@
 #include "service/result_store.hh"
 
 namespace rarpred::driver {
-class FleetDispatcher;
 class WorkerPool;
 } // namespace rarpred::driver
 
@@ -107,20 +106,8 @@ struct DaemonConfig
      * cells transparently run in-process with identical results.
      */
     bool isolateJobs = false;
-    /** Kill a silent worker process after this long (isolateJobs).
-     *  Also the fleet dispatcher's lease heartbeat budget. */
+    /** Kill a silent worker process after this long (isolateJobs). */
     uint64_t workerHeartbeatTimeoutMs = 10000;
-
-    /**
-     * --fleet=host:port[,host:port...]: lease each cell to a fleet of
-     * rarpred-agent hosts (driver/fleet_dispatcher.hh). The
-     * dispatcher is shared across requests, keeping connections and
-     * the at-least-once dedupe state warm; when it degrades (every
-     * agent demoted) cells transparently fall back to --isolate-jobs
-     * workers or in-process execution with identical results. Empty
-     * disables the fleet.
-     */
-    std::string fleet;
 };
 
 /** Thread-safe counters behind the service.* stats (proto.hh). */
@@ -184,10 +171,6 @@ class SweepDaemon
      *  dumps its driver.worker.* counters at exit. */
     driver::WorkerPool *workerPool() { return workerPool_.get(); }
 
-    /** Fleet dispatcher (null without --fleet); the CLI dumps its
-     *  driver.fleet.* counters at exit. */
-    driver::FleetDispatcher *fleet() { return fleet_.get(); }
-
   private:
     /** One admitted sweep, owning its client connection. */
     struct Pending
@@ -218,7 +201,6 @@ class SweepDaemon
     CircuitBreaker breaker_;
     std::unique_ptr<driver::TraceCache> traceCache_;
     std::unique_ptr<driver::WorkerPool> workerPool_;
-    std::unique_ptr<driver::FleetDispatcher> fleet_;
 
     int listenFd_ = -1;
     int wakePipe_[2] = {-1, -1}; ///< drain wakeup for the accept poll

@@ -22,10 +22,6 @@ isKnownFrameType(uint8_t type)
       case FrameType::JobResult:
       case FrameType::WorkerHello:
       case FrameType::WorkerHeartbeat:
-      case FrameType::LeaseRequest:
-      case FrameType::AgentHello:
-      case FrameType::AgentHeartbeat:
-      case FrameType::LeaseResult:
         return true;
     }
     return false;
@@ -55,14 +51,6 @@ frameTypeName(FrameType type)
         return "worker-hello";
       case FrameType::WorkerHeartbeat:
         return "worker-heartbeat";
-      case FrameType::LeaseRequest:
-        return "lease-request";
-      case FrameType::AgentHello:
-        return "agent-hello";
-      case FrameType::AgentHeartbeat:
-        return "agent-heartbeat";
-      case FrameType::LeaseResult:
-        return "lease-result";
     }
     return "unknown";
 }
@@ -675,138 +663,6 @@ WorkerHeartbeatMsg::decode(const std::vector<uint8_t> &b)
     if (!r.atEnd())
         return Status::corruption(
             "trailing bytes after worker heartbeat");
-    return m;
-}
-
-// ---------------------------------------------------- fleet frames
-
-std::vector<uint8_t>
-AgentHelloMsg::encode() const
-{
-    StateWriter w;
-    w.u64(pid);
-    w.u32(protoVersion);
-    w.u32(slots);
-    return w.buffer();
-}
-
-Result<AgentHelloMsg>
-AgentHelloMsg::decode(const std::vector<uint8_t> &b)
-{
-    AgentHelloMsg m;
-    StateReader r(b);
-    RARPRED_RETURN_IF_ERROR(r.u64(&m.pid));
-    RARPRED_RETURN_IF_ERROR(r.u32(&m.protoVersion));
-    RARPRED_RETURN_IF_ERROR(r.u32(&m.slots));
-    if (!r.atEnd())
-        return Status::corruption("trailing bytes after agent hello");
-    if (m.slots == 0 || m.slots > 4096)
-        return Status::corruption("agent slot count out of range");
-    return m;
-}
-
-namespace {
-
-/**
- * Embed an already-encoded sub-message as a length-prefixed blob.
- * The sub-decoder's own trailing-bytes check then applies to exactly
- * the embedded region, so a lease codec cannot mask a torn job.
- */
-void
-writeEmbedded(StateWriter &w, const std::vector<uint8_t> &bytes)
-{
-    w.u32((uint32_t)bytes.size());
-    w.bytes(bytes.data(), bytes.size());
-}
-
-Status
-readEmbedded(StateReader &r, std::vector<uint8_t> *out)
-{
-    uint32_t len = 0;
-    RARPRED_RETURN_IF_ERROR(r.u32(&len));
-    // A job message is a handful of scalars plus string fields that
-    // are themselves kMaxString-bounded; twice that is generous.
-    if (len > 2 * kMaxString)
-        return Status::corruption(
-            "embedded message exceeds the bound");
-    out->resize(len);
-    return r.bytes(out->data(), len);
-}
-
-} // namespace
-
-std::vector<uint8_t>
-LeaseRequestMsg::encode() const
-{
-    StateWriter w;
-    w.u64(leaseId);
-    w.u64(leaseMs);
-    writeEmbedded(w, job.encode());
-    return w.buffer();
-}
-
-Result<LeaseRequestMsg>
-LeaseRequestMsg::decode(const std::vector<uint8_t> &b)
-{
-    LeaseRequestMsg m;
-    StateReader r(b);
-    RARPRED_RETURN_IF_ERROR(r.u64(&m.leaseId));
-    RARPRED_RETURN_IF_ERROR(r.u64(&m.leaseMs));
-    std::vector<uint8_t> inner;
-    RARPRED_RETURN_IF_ERROR(readEmbedded(r, &inner));
-    if (!r.atEnd())
-        return Status::corruption(
-            "trailing bytes after lease request");
-    auto job = JobRequestMsg::decode(inner);
-    RARPRED_RETURN_IF_ERROR(job.status());
-    m.job = std::move(*job);
-    return m;
-}
-
-std::vector<uint8_t>
-AgentHeartbeatMsg::encode() const
-{
-    StateWriter w;
-    w.u64(leaseId);
-    w.u64(seq);
-    return w.buffer();
-}
-
-Result<AgentHeartbeatMsg>
-AgentHeartbeatMsg::decode(const std::vector<uint8_t> &b)
-{
-    AgentHeartbeatMsg m;
-    StateReader r(b);
-    RARPRED_RETURN_IF_ERROR(r.u64(&m.leaseId));
-    RARPRED_RETURN_IF_ERROR(r.u64(&m.seq));
-    if (!r.atEnd())
-        return Status::corruption(
-            "trailing bytes after agent heartbeat");
-    return m;
-}
-
-std::vector<uint8_t>
-LeaseResultMsg::encode() const
-{
-    StateWriter w;
-    w.u64(leaseId);
-    writeEmbedded(w, result.encode());
-    return w.buffer();
-}
-
-Result<LeaseResultMsg>
-LeaseResultMsg::decode(const std::vector<uint8_t> &b)
-{
-    LeaseResultMsg m;
-    StateReader r(b);
-    RARPRED_RETURN_IF_ERROR(r.u64(&m.leaseId));
-    std::vector<uint8_t> inner;
-    RARPRED_RETURN_IF_ERROR(readEmbedded(r, &inner));
-    if (!r.atEnd())
-        return Status::corruption("trailing bytes after lease result");
-    auto result = JobResultMsg::decode(inner);
-    RARPRED_RETURN_IF_ERROR(result.status());
-    m.result = std::move(*result);
     return m;
 }
 

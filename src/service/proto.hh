@@ -77,7 +77,6 @@ enum class FrameType : uint8_t
     SweepRequest = 1,  ///< a grid of (workload, config) cells
     StatusRequest = 2, ///< health/readiness probe
     JobRequest = 3,    ///< one cell dispatched to a worker process
-    LeaseRequest = 4,  ///< one cell leased to a fleet agent
     Row = 16,          ///< one cell's CpuStats (or its error)
     SweepDone = 17,    ///< terminates a row stream; summary counts
     ErrorReply = 18,   ///< whole-request failure (shed, deadline, ...)
@@ -85,9 +84,6 @@ enum class FrameType : uint8_t
     JobResult = 20,    ///< a worker's answer to one JobRequest
     WorkerHello = 21,  ///< worker liveness announcement after exec
     WorkerHeartbeat = 22, ///< mid-job forward-progress beacon
-    AgentHello = 23,   ///< fleet agent handshake after accept
-    AgentHeartbeat = 24, ///< agent-level mid-lease liveness beacon
-    LeaseResult = 25,  ///< the agent's answer to one LeaseRequest
 };
 
 /** @return true iff @p type is one of the FrameType values. */
@@ -377,72 +373,6 @@ struct WorkerHeartbeatMsg
 
     std::vector<uint8_t> encode() const;
     static Result<WorkerHeartbeatMsg>
-    decode(const std::vector<uint8_t> &b);
-};
-
-// ------------------------------------------------ fleet messages
-//
-// The multi-host worker fleet (driver/fleet_dispatcher.hh) speaks
-// the same CRC-framed envelope over TCP. An agent (rarpred-agent)
-// announces itself with one AgentHello immediately after accepting a
-// dispatcher connection; the dispatcher then leases cells to it one
-// at a time per connection: one LeaseRequest is answered by exactly
-// one LeaseResult, with AgentHeartbeat frames interleaved while the
-// lease is in flight so a partitioned or wedged agent is
-// distinguishable from a slow one. Dispatch is at-least-once: a
-// lease that times out is reassigned, and a late or duplicated
-// LeaseResult is deduplicated by cell fingerprint on the dispatcher
-// side (the determinism contract makes any second completion
-// byte-identical, which the dispatcher asserts).
-
-/** Version of the dispatcher<->agent lease protocol. */
-constexpr uint32_t kAgentProtoVersion = 1;
-
-/** Agent handshake, sent once right after a connection is accepted. */
-struct AgentHelloMsg
-{
-    uint64_t pid = 0; ///< agent process id (changes on restart)
-    uint32_t protoVersion = kAgentProtoVersion;
-    uint32_t slots = 1; ///< worker processes hosted by the agent
-
-    std::vector<uint8_t> encode() const;
-    static Result<AgentHelloMsg> decode(const std::vector<uint8_t> &b);
-};
-
-/** One cell leased to an agent: the job plus the lease terms. */
-struct LeaseRequestMsg
-{
-    uint64_t leaseId = 0; ///< echoed by heartbeats and the result
-    /** Lease duration in ms the dispatcher will wait before it
-     *  reassigns the cell; 0 = bounded by heartbeat silence only. */
-    uint64_t leaseMs = 0;
-    JobRequestMsg job;
-
-    Status validate() const { return job.validate(); }
-    std::vector<uint8_t> encode() const;
-    static Result<LeaseRequestMsg>
-    decode(const std::vector<uint8_t> &b);
-};
-
-/** Agent-level liveness beacon while a lease is in flight. */
-struct AgentHeartbeatMsg
-{
-    uint64_t leaseId = 0;
-    uint64_t seq = 0; ///< monotone per lease
-
-    std::vector<uint8_t> encode() const;
-    static Result<AgentHeartbeatMsg>
-    decode(const std::vector<uint8_t> &b);
-};
-
-/** The agent's answer to one LeaseRequest. */
-struct LeaseResultMsg
-{
-    uint64_t leaseId = 0;
-    JobResultMsg result;
-
-    std::vector<uint8_t> encode() const;
-    static Result<LeaseResultMsg>
     decode(const std::vector<uint8_t> &b);
 };
 

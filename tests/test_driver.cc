@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -900,6 +902,61 @@ TEST(SweepResumeE2E, CrashedWorkerProcessBenchStaysByteIdentical)
     std::remove(out_serial.c_str());
     std::remove(out_proc.c_str());
     std::remove(err_proc.c_str());
+}
+
+/** Run @p cmd through the shell with stderr folded into stdout.
+ *  @return its exit code (-1 if it did not exit normally); the
+ *  output lands in @p out. */
+int
+runCapture(const std::string &cmd, std::string *out)
+{
+    FILE *p = ::popen((cmd + " 2>&1").c_str(), "r");
+    if (p == nullptr)
+        return -1;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0)
+        out->append(buf, n);
+    const int rc = ::pclose(p);
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(BenchCli, EveryFlagWorksOrIsRejected)
+{
+    // A flag a bench does not implement must fail with usage and
+    // exit 2, never run the experiment as if it were absent.
+    const std::string dir = RARPRED_BENCH_DIR;
+    if (!std::ifstream(dir + "/bench_fig9_speedup").good())
+        GTEST_SKIP() << "bench binaries not built in this tree";
+
+    for (const char *bench :
+         {"bench_fig2_locality", "bench_fig6_cloaking_accuracy",
+          "bench_fig7_locality_breakdown", "bench_table_5_1_workloads",
+          "bench_table_5_2_vp_overlap", "bench_ext_renaming",
+          "bench_ext_value_predictors"}) {
+        std::string out;
+        EXPECT_EQ(runCapture(dir + "/" + bench + " --bogus-flag", &out),
+                  2)
+            << bench;
+        EXPECT_NE(out.find("usage:"), std::string::npos)
+            << bench << ": " << out;
+    }
+
+    // There is no multi-host fleet: its flag and its fault points are
+    // unknown names, rejected like any other.
+    const std::string fig9 =
+        dir + "/bench_fig9_speedup --max-insts=1000";
+    std::string out;
+    EXPECT_EQ(runCapture(fig9 + " --workers-remote=127.0.0.1:1", &out),
+              2);
+    EXPECT_NE(out.find("unknown flag '--workers-remote"),
+              std::string::npos)
+        << out;
+    out.clear();
+    EXPECT_EQ(runCapture("RARPRED_FAULT=net_drop:0 " + fig9, &out), 2);
+    EXPECT_NE(out.find("unknown fault point: net_drop"),
+              std::string::npos)
+        << out;
 }
 
 // ------------------------------------------- merged error surfacing

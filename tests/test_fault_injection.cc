@@ -400,15 +400,16 @@ TEST(SafetyOracle, ReportIsDeterministic)
 }
 
 /** The headline suite: the safety property must hold on every workload
- *  with faults landing at well above the required 1e-4 rate. */
-class SafetyOracleAllWorkloads
-    : public ::testing::TestWithParam<const Workload *>
+ *  with faults landing at well above the required 1e-4 rate. The
+ *  parameter indexes allWorkloads(); a Workload pointer would print a
+ *  different address into the test's name on every run. */
+class SafetyOracleAllWorkloads : public ::testing::TestWithParam<size_t>
 {
 };
 
 TEST_P(SafetyOracleAllWorkloads, SurvivesFaultInjection)
 {
-    const Workload &wl = *GetParam();
+    const Workload &wl = allWorkloads()[GetParam()];
     OracleConfig config;
     config.cloaking.dpnt.geometry = {8192, 2}; // the paper's tables:
     config.cloaking.sf = {1024, 2};            // realistic conflict load
@@ -424,23 +425,14 @@ TEST_P(SafetyOracleAllWorkloads, SurvivesFaultInjection)
     EXPECT_EQ(report->divergences, 0u);
 }
 
-std::vector<const Workload *>
-workloadPointers()
-{
-    std::vector<const Workload *> out;
-    for (const Workload &wl : allWorkloads())
-        out.push_back(&wl);
-    return out;
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, SafetyOracleAllWorkloads,
-    ::testing::ValuesIn(workloadPointers()),
-    [](const ::testing::TestParamInfo<const Workload *> &info) {
+    ::testing::Range<size_t>(0, allWorkloads().size()),
+    [](const ::testing::TestParamInfo<size_t> &info) {
         // Abbreviations like "fp*" aren't valid gtest identifiers;
         // keep alphanumerics and index-suffix for uniqueness.
         std::string name;
-        for (char c : info.param->abbrev)
+        for (char c : allWorkloads()[info.param].abbrev)
             if (std::isalnum((unsigned char)c))
                 name += c;
         return name + "_" + std::to_string(info.index);

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
@@ -230,8 +232,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomTraceTest,
 
 // ------------------------------------------------- sweep invariants
 
+// The workload is a std::string, not a const char *: gtest prints the
+// parameter into the test's name, and would print a pointer's address.
 class DdtSweepProperty
-    : public ::testing::TestWithParam<std::tuple<const char *, size_t>>
+    : public ::testing::TestWithParam<std::tuple<std::string, size_t>>
 {
 };
 

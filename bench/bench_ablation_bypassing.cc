@@ -60,7 +60,7 @@ main(int argc, char **argv)
            rarpred::TraceSource &trace, rarpred::Rng &) {
             rarpred::CpuConfig config;
             rarpred::OooCpu cpu(config, variant(ci));
-            rarpred::driver::pumpSimulation(trace, cpu);
+            rarpred::drainTraceBatched(trace, cpu);
             return cpu.stats().cycles;
         },
         parsed->io);

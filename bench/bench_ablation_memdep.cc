@@ -54,7 +54,7 @@ main(int argc, char **argv)
             rarpred::CpuConfig config;
             config.memDep = policies[ci];
             rarpred::OooCpu cpu(config, {});
-            rarpred::driver::pumpSimulation(trace, cpu);
+            rarpred::drainTraceBatched(trace, cpu);
             return cpu.stats();
         },
         parsed->io);

@@ -51,7 +51,7 @@ main(int argc, char **argv)
             config.ddt.entries = 128;
             config.dpnt.merge = merges[ci];
             rarpred::CloakingEngine engine(config);
-            rarpred::driver::pumpSimulation(trace, engine);
+            rarpred::drainTraceBatched(trace, engine);
             return engine.stats();
         },
         parsed->io);

@@ -81,7 +81,7 @@ main(int argc, char **argv)
             config.sf = {1024, 2};
             variants[ci].apply(config);
             rarpred::CloakingEngine engine(config);
-            rarpred::driver::pumpSimulation(trace, engine);
+            rarpred::drainTraceBatched(trace, engine);
             return engine.stats();
         },
         parsed->io);

@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "core/cloaking.hh"
-#include "driver/sim_snapshot.hh"
 #include "driver/sweep.hh"
+#include "vm/trace.hh"
 #include "workload/factory.hh"
 
 namespace {
@@ -179,7 +179,7 @@ main(int argc, char **argv)
         [](const Workload &, size_t, rarpred::TraceSource &trace,
            rarpred::Rng &) {
             CloakingEngine engine(defaultCloakingConfig());
-            rarpred::driver::pumpSimulation(trace, engine);
+            rarpred::drainTraceBatched(trace, engine);
             const auto &s = engine.stats();
             const uint64_t detected = s.detectedRaw + s.detectedRar;
             return Cell{s.coverage(), s.mispredictionRate(),

@@ -74,7 +74,7 @@ main(int argc, char **argv)
             rarpred::CpuConfig config;
             config.memDep = rarpred::MemDepPolicy::Conservative;
             rarpred::OooCpu cpu(config, configs[ci]);
-            rarpred::driver::pumpSimulation(trace, cpu);
+            rarpred::drainTraceBatched(trace, cpu);
             return cpu.stats().cycles;
         },
         parsed->io);

@@ -96,7 +96,7 @@ main(int argc, char **argv)
         [&sizes](const rarpred::Workload &, size_t ci,
                  rarpred::TraceSource &trace, rarpred::Rng &) {
             DdtSweepSink sink(sizes[ci]);
-            rarpred::driver::pumpSimulation(trace, sink);
+            rarpred::drainTraceBatched(trace, sink);
             return Cell{sink.rawFrac(), sink.rarFrac()};
         },
         parsed->io);

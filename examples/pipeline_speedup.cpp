@@ -75,7 +75,7 @@ main(int argc, char **argv)
                    rarpred::TraceSource &trace, rarpred::Rng &) {
             rarpred::CpuConfig config;
             rarpred::OooCpu cpu(config, configs[ci]);
-            rarpred::driver::pumpSimulation(trace, cpu);
+            rarpred::drainTraceBatched(trace, cpu);
             return cpu.stats();
         },
         parsed->io);

@@ -11,7 +11,8 @@
  *                         unbounded hint-table mode).
  *  - FlatLruTable<Value>: a fully-associative LRU table that replaces
  *                         the std::list + std::unordered_map pair in
- *                         FullyAssocLruTable. Entries live in a
+ *                         FullyAssocLruTable (tests/lru_table.hh, kept
+ *                         as the reference model). Entries live in a
  *                         contiguous slab; the recency list is
  *                         intrusive (prev/next slot indices), so a
  *                         touch is a probe plus four index writes and
@@ -19,9 +20,8 @@
  *                         allocations.
  *
  * Semantics are identical to the structures they replace: LRU order,
- * eviction decisions, forEach order (MRU-to-LRU), and the
- * saveState/restoreState wire format are all preserved bit for bit —
- * the golden-stats and snapshot layers depend on that.
+ * eviction decisions and forEach order (MRU-to-LRU) are preserved bit
+ * for bit — the golden stats depend on that.
  *
  * Both tables keep ProbeStats (lookups, probe steps, max probe
  * length, resizes, live load factor) so the bench layer can report
@@ -46,7 +46,6 @@
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
-#include "common/statesave.hh"
 
 namespace rarpred {
 
@@ -350,10 +349,10 @@ class FlatMap
 
 /**
  * Fully-associative LRU table on the flat probe path: a drop-in
- * replacement for FullyAssocLruTable<uint64_t, Value> with identical
- * semantics and serialization format. Entries live in a contiguous
- * node slab linked into an intrusive MRU list; the key index is a
- * FlatMap of slab positions.
+ * replacement for FullyAssocLruTable<uint64_t, Value>
+ * (tests/lru_table.hh) with identical semantics. Entries live in a
+ * contiguous node slab linked into an intrusive MRU list; the key
+ * index is a FlatMap of slab positions.
  */
 template <typename Value>
 class FlatLruTable
@@ -548,7 +547,7 @@ class FlatLruTable
     }
 
     /**
-     * Structural self-check for the online auditor: the index and the
+     * Structural self-check for the property tests: the index and the
      * intrusive recency list must agree entry for entry, the list
      * links must be consistent in both directions, and the capacity
      * bound must hold. @return false on any violation.
@@ -573,52 +572,6 @@ class FlatLruTable
             prev = i;
         }
         return walked == size_ && tail_ == prev;
-    }
-
-    /**
-     * Serialize entries in MRU-to-LRU order; identical wire format to
-     * FullyAssocLruTable::saveState. @p saveValue is
-     * (StateWriter&, const Value&).
-     */
-    template <typename SaveFn>
-    void
-    saveState(StateWriter &w, SaveFn &&saveValue) const
-    {
-        w.u64(size_);
-        for (uint32_t i = head_; i != kNil; i = nodes_[i].next) {
-            w.u64(nodes_[i].key);
-            saveValue(w, nodes_[i].value);
-        }
-    }
-
-    /**
-     * Rebuild the table from a saveState() image, reproducing the
-     * exact recency order. @p loadValue is
-     * (StateReader&, Value*) -> Status.
-     */
-    template <typename LoadFn>
-    Status
-    restoreState(StateReader &r, LoadFn &&loadValue)
-    {
-        uint64_t count = 0;
-        RARPRED_RETURN_IF_ERROR(r.u64(&count));
-        if (capacity_ != 0 && count > capacity_)
-            return Status::corruption("LRU table image over capacity");
-        std::vector<std::pair<uint64_t, Value>> entries;
-        entries.reserve(count);
-        for (uint64_t i = 0; i < count; ++i) {
-            uint64_t key = 0;
-            Value value{};
-            RARPRED_RETURN_IF_ERROR(r.u64(&key));
-            RARPRED_RETURN_IF_ERROR(loadValue(r, &value));
-            entries.emplace_back(key, std::move(value));
-        }
-        clear();
-        // Saved MRU-first; inserting back-to-front recreates the list
-        // with the first saved entry ending up most recently used.
-        for (auto it = entries.rbegin(); it != entries.rend(); ++it)
-            insert(it->first, std::move(it->second));
-        return Status{};
     }
 
     /** Probe-path counters of the key index. */

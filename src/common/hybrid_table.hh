@@ -16,16 +16,13 @@
 #ifndef RARPRED_COMMON_HYBRID_TABLE_HH_
 #define RARPRED_COMMON_HYBRID_TABLE_HH_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/bitutils.hh"
 #include "common/flat_table.hh"
 #include "common/set_assoc_table.hh"
-#include "common/statesave.hh"
 #include "common/status.hh"
 
 namespace rarpred {
@@ -68,7 +65,7 @@ template <typename Value>
 class HybridTable
 {
   public:
-    explicit HybridTable(TableGeometry geom) : geom_(geom)
+    explicit HybridTable(TableGeometry geom)
     {
         if (geom.entries == 0) {
             // unbounded flat map, nothing to construct
@@ -191,91 +188,6 @@ class HybridTable
     }
 
     /**
-     * Structural self-check for the online auditor; delegates to the
-     * underlying organization (the unbounded map has no structural
-     * invariants beyond what unordered_map maintains itself).
-     */
-    bool
-    auditIntegrity() const
-    {
-        if (full_)
-            return full_->auditIntegrity();
-        if (setAssoc_)
-            return setAssoc_->auditIntegrity();
-        return true;
-    }
-
-    /**
-     * Serialize organization + entries. The unbounded map is written
-     * sorted by key so the image is deterministic regardless of hash
-     * iteration order (snapshots must be byte-stable).
-     */
-    template <typename SaveFn>
-    void
-    saveState(StateWriter &w, SaveFn &&saveValue) const
-    {
-        w.u64(geom_.entries);
-        w.u64(geom_.assoc);
-        if (full_) {
-            w.u8(1);
-            full_->saveState(w, saveValue);
-        } else if (setAssoc_) {
-            w.u8(2);
-            setAssoc_->saveState(w, saveValue);
-        } else {
-            w.u8(0);
-            std::vector<uint64_t> keys;
-            keys.reserve(map_.size());
-            map_.forEach([&](uint64_t k, const Value &) {
-                keys.push_back(k);
-            });
-            std::sort(keys.begin(), keys.end());
-            w.u64(keys.size());
-            for (uint64_t k : keys) {
-                w.u64(k);
-                saveValue(w, *map_.find(k));
-            }
-        }
-    }
-
-    /** Rebuild from a saveState() image; geometry must match. */
-    template <typename LoadFn>
-    Status
-    restoreState(StateReader &r, LoadFn &&loadValue)
-    {
-        uint64_t entries = 0, assoc = 0;
-        uint8_t mode = 0;
-        RARPRED_RETURN_IF_ERROR(r.u64(&entries));
-        RARPRED_RETURN_IF_ERROR(r.u64(&assoc));
-        if (entries != geom_.entries || assoc != geom_.assoc) {
-            return Status::failedPrecondition(
-                "table snapshot has a different geometry");
-        }
-        RARPRED_RETURN_IF_ERROR(r.u8(&mode));
-        const uint8_t want = full_ ? 1 : setAssoc_ ? 2 : 0;
-        if (mode != want)
-            return Status::corruption("table snapshot organization "
-                                      "does not match geometry");
-        if (full_)
-            return full_->restoreState(r, loadValue);
-        if (setAssoc_)
-            return setAssoc_->restoreState(r, loadValue);
-        uint64_t count = 0;
-        RARPRED_RETURN_IF_ERROR(r.u64(&count));
-        map_.clear();
-        for (uint64_t i = 0; i < count; ++i) {
-            uint64_t key = 0;
-            Value value{};
-            RARPRED_RETURN_IF_ERROR(r.u64(&key));
-            RARPRED_RETURN_IF_ERROR(loadValue(r, &value));
-            map_.insert(key, std::move(value));
-        }
-        return Status{};
-    }
-
-    const TableGeometry &geometry() const { return geom_; }
-
-    /**
      * Probe-path counters of the underlying organization. The
      * set-associative mode has no probe sequence; it reports fill
      * (size/capacity) only.
@@ -295,7 +207,6 @@ class HybridTable
     }
 
   private:
-    TableGeometry geom_;
     std::unique_ptr<FlatLruTable<Value>> full_;
     std::unique_ptr<SetAssocTable<Value>> setAssoc_;
     FlatMap<Value> map_;

@@ -26,7 +26,6 @@
 
 #include "common/bitutils.hh"
 #include "common/logging.hh"
-#include "common/statesave.hh"
 
 namespace rarpred {
 
@@ -247,87 +246,6 @@ class SetAssocTable
             for (size_t i = 0; i < sizes_[si]; ++i)
                 fn(slots_[si * assoc_ + i].first,
                    slots_[si * assoc_ + i].second);
-    }
-
-    /**
-     * Structural self-check for the online auditor: every set within
-     * its associativity, every tag indexed into the set that holds
-     * it, no duplicate tags in a set. @return false on any violation.
-     */
-    bool
-    auditIntegrity() const
-    {
-        for (size_t si = 0; si < numSets_; ++si) {
-            const size_t n = sizes_[si];
-            const size_t base = si * assoc_;
-            if (n > assoc_)
-                return false;
-            for (size_t i = 0; i < n; ++i) {
-                if (indexOf(slots_[base + i].first) != si)
-                    return false;
-                for (size_t j = i + 1; j < n; ++j)
-                    if (slots_[base + j].first == slots_[base + i].first)
-                        return false;
-            }
-        }
-        return true;
-    }
-
-    /**
-     * Serialize geometry plus every set, ways MRU-first. Values are
-     * written by @p saveValue (StateWriter&, const Value&).
-     */
-    template <typename SaveFn>
-    void
-    saveState(StateWriter &w, SaveFn &&saveValue) const
-    {
-        w.u64(numSets_);
-        w.u64(assoc_);
-        for (size_t si = 0; si < numSets_; ++si) {
-            w.u32(sizes_[si]);
-            for (size_t i = 0; i < sizes_[si]; ++i) {
-                w.u64(slots_[si * assoc_ + i].first);
-                saveValue(w, slots_[si * assoc_ + i].second);
-            }
-        }
-    }
-
-    /**
-     * Rebuild from a saveState() image, reproducing the per-set LRU
-     * order. @p loadValue is (StateReader&, Value*) -> Status.
-     */
-    template <typename LoadFn>
-    Status
-    restoreState(StateReader &r, LoadFn &&loadValue)
-    {
-        uint64_t numSets = 0, assoc = 0;
-        RARPRED_RETURN_IF_ERROR(r.u64(&numSets));
-        RARPRED_RETURN_IF_ERROR(r.u64(&assoc));
-        if (numSets != numSets_ || assoc != assoc_) {
-            return Status::failedPrecondition(
-                "table snapshot has a different geometry");
-        }
-        for (size_t si = 0; si < numSets_; ++si) {
-            uint32_t ways = 0;
-            RARPRED_RETURN_IF_ERROR(r.u32(&ways));
-            if (ways > assoc_)
-                return Status::corruption("set image over associativity");
-            const size_t base = si * assoc_;
-            for (uint32_t i = 0; i < ways; ++i) {
-                uint64_t key = 0;
-                Value value{};
-                RARPRED_RETURN_IF_ERROR(r.u64(&key));
-                RARPRED_RETURN_IF_ERROR(loadValue(r, &value));
-                if (indexOf(key) != si)
-                    return Status::corruption(
-                        "set image tag indexes a different set");
-                slots_[base + i] = {key, std::move(value)};
-            }
-            for (size_t i = ways; i < assoc_; ++i)
-                slots_[base + i] = {};
-            sizes_[si] = ways;
-        }
-        return Status{};
     }
 
   private:

@@ -7,15 +7,9 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/crc32.hh"
-
 namespace rarpred {
 
 namespace {
-
-/// Byte overhead of a section frame around its payload.
-constexpr size_t kFrameHeadBytes = 8; // u32 tag + u32 payloadLen
-constexpr size_t kFrameTailBytes = 4; // u32 crc32 over tag+len+payload
 
 uint32_t
 getU32(const uint8_t *p)
@@ -26,40 +20,12 @@ getU32(const uint8_t *p)
     return v;
 }
 
-void
-putU32(uint8_t *p, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        p[i] = (uint8_t)(v >> (8 * i));
-}
-
 } // namespace
-
-void
-StateWriter::beginSection(uint32_t tag)
-{
-    open_.push_back(buf_.size());
-    u32(tag);
-    u32(0); // payload length, patched by endSection()
-}
-
-void
-StateWriter::endSection()
-{
-    const size_t head = open_.back();
-    open_.pop_back();
-    const size_t payload = buf_.size() - head - kFrameHeadBytes;
-    putU32(buf_.data() + head + 4, (uint32_t)payload);
-    const uint32_t crc =
-        crc32(buf_.data() + head, kFrameHeadBytes + payload);
-    u32(crc);
-}
 
 Status
 StateReader::need(size_t n) const
 {
-    size_t bound = bounds_.empty() ? len_ : bounds_.back();
-    if (pos_ + n > bound)
+    if (pos_ + n > len_)
         return Status::corruption("state stream truncated");
     return Status{};
 }
@@ -110,68 +76,6 @@ StateReader::bytes(void *out, size_t len)
     RARPRED_RETURN_IF_ERROR(need(len));
     std::memcpy(out, data_ + pos_, len);
     pos_ += len;
-    return Status{};
-}
-
-Status
-StateReader::enterSection(uint32_t tag)
-{
-    RARPRED_RETURN_IF_ERROR(need(kFrameHeadBytes));
-    const size_t head = pos_;
-    const uint32_t gotTag = getU32(data_ + head);
-    if (gotTag != tag)
-        return Status::corruption("section tag mismatch");
-    const uint32_t payload = getU32(data_ + head + 4);
-    RARPRED_RETURN_IF_ERROR(
-        need(kFrameHeadBytes + payload + kFrameTailBytes));
-    const uint32_t want =
-        getU32(data_ + head + kFrameHeadBytes + payload);
-    const uint32_t got = crc32(data_ + head, kFrameHeadBytes + payload);
-    if (want != got)
-        return Status::corruption("section CRC mismatch");
-    pos_ = head + kFrameHeadBytes;
-    bounds_.push_back(pos_ + payload);
-    return Status{};
-}
-
-Status
-StateReader::leaveSection()
-{
-    const size_t bound = bounds_.back();
-    if (pos_ != bound)
-        return Status::corruption("section has unread payload");
-    bounds_.pop_back();
-    pos_ = bound + kFrameTailBytes; // skip the already-verified CRC
-    return Status{};
-}
-
-size_t
-StateReader::remaining() const
-{
-    size_t bound = bounds_.empty() ? len_ : bounds_.back();
-    return bound > pos_ ? bound - pos_ : 0;
-}
-
-Status
-validateSectionChain(const uint8_t *data, size_t len)
-{
-    size_t pos = 0;
-    while (pos < len) {
-        if (pos + kFrameHeadBytes + kFrameTailBytes > len)
-            return Status::corruption("truncated section frame");
-        const uint32_t payload = getU32(data + pos + 4);
-        const size_t frame =
-            kFrameHeadBytes + (size_t)payload + kFrameTailBytes;
-        if (pos + frame > len)
-            return Status::corruption("section frame overruns buffer");
-        const uint32_t want =
-            getU32(data + pos + kFrameHeadBytes + payload);
-        const uint32_t got =
-            crc32(data + pos, kFrameHeadBytes + payload);
-        if (want != got)
-            return Status::corruption("section CRC mismatch");
-        pos += frame;
-    }
     return Status{};
 }
 

@@ -1,21 +1,15 @@
 /**
  * @file
- * CRC-32-guarded state serialization for simulation snapshots.
+ * Little-endian field codec and a power-loss-durable file write.
  *
- * Every stateful component (tables, predictors, caches, the CPU, the
- * VM) implements saveState(StateWriter &) / restoreState(StateReader
- * &) on top of these primitives. The byte format follows the repo's
+ * StateWriter/StateReader encode the fields of the service wire
+ * frames (service/proto.cc) and the result-store entries
+ * (service/result_store.cc). The byte format follows the repo's
  * binary-file conventions (trace v2, RARJ journal): little-endian
- * scalars, explicit lengths, CRC-guarded frames.
- *
- * Sections: beginSection(tag)/endSection() wrap a run of fields in a
- * frame {u32 tag, u32 payloadLen, payload, u32 crc32(tag+len+payload)}
- * so a reader can (a) verify integrity *before* applying any state
- * and (b) attribute corruption to a component. Sections nest; the CRC
- * of an outer section covers its inner sections.
+ * scalars and explicit lengths; integrity is the caller's CRC.
  *
  * StateReader returns Status instead of throwing: a truncated or
- * bit-flipped snapshot must surface as Corruption, never as UB.
+ * bit-flipped input must surface as Corruption, never as UB.
  */
 
 #ifndef RARPRED_COMMON_STATESAVE_HH_
@@ -29,7 +23,7 @@
 
 namespace rarpred {
 
-/** Append-only buffer of little-endian fields and CRC'd sections. */
+/** Append-only buffer of little-endian fields. */
 class StateWriter
 {
   public:
@@ -62,17 +56,10 @@ class StateWriter
         buf_.insert(buf_.end(), p, p + len);
     }
 
-    /** Open a CRC-guarded frame; must be balanced by endSection(). */
-    void beginSection(uint32_t tag);
-
-    /** Close the innermost open frame, patching length and CRC. */
-    void endSection();
-
     const std::vector<uint8_t> &buffer() const { return buf_; }
 
   private:
     std::vector<uint8_t> buf_;
-    std::vector<size_t> open_; ///< offsets of open frames' tag fields
 };
 
 /** Validating cursor over a StateWriter-produced buffer. */
@@ -95,23 +82,6 @@ class StateReader
     Status boolean(bool *out);
     Status bytes(void *out, size_t len);
 
-    /**
-     * Enter the frame at the cursor: verify its tag matches @p tag
-     * and its CRC over the whole frame holds, then position the
-     * cursor at the payload start.
-     */
-    Status enterSection(uint32_t tag);
-
-    /**
-     * Leave the innermost frame. Corruption when fields remain
-     * unread — a length mismatch means writer and reader disagree
-     * about the format, which must not pass silently.
-     */
-    Status leaveSection();
-
-    /** Bytes left before the innermost frame boundary (or EOF). */
-    size_t remaining() const;
-
     bool atEnd() const { return pos_ >= len_; }
 
   private:
@@ -120,16 +90,7 @@ class StateReader
     const uint8_t *data_;
     size_t len_;
     size_t pos_ = 0;
-    std::vector<size_t> bounds_; ///< payload-end offsets of open frames
 };
-
-/**
- * Verify every top-level section frame in @p buf without applying
- * anything: walks tag/len/crc frames back to back until the buffer
- * ends. Use before restoreState() so a corrupt snapshot is rejected
- * while the live component state is still untouched.
- */
-Status validateSectionChain(const uint8_t *data, size_t len);
 
 /**
  * Power-loss-durable file write: write @p len bytes to a temp file
@@ -137,7 +98,7 @@ Status validateSectionChain(const uint8_t *data, size_t len);
  * fsync the containing directory. After this returns OK, a SIGKILL
  * (or power cut) can no longer produce a zero-length or half-written
  * file at @p path. Shared by the sweep journal's header write and the
- * snapshot writer.
+ * result store's entries.
  *
  * With a non-null @p errno_out, the errno of the failing syscall is
  * stored there (0 on success) so callers can distinguish resource

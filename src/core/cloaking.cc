@@ -134,38 +134,4 @@ CloakingEngine::processInst(const DynInst &di)
     return outcome;
 }
 
-void
-CloakingEngine::saveState(StateWriter &w) const
-{
-    detector_.saveState(w);
-    dpnt_.saveState(w);
-    sf_.saveState(w);
-    w.u64(stats_.loads);
-    w.u64(stats_.stores);
-    w.u64(stats_.coveredRaw);
-    w.u64(stats_.coveredRar);
-    w.u64(stats_.mispredRaw);
-    w.u64(stats_.mispredRar);
-    w.u64(stats_.predictedEmpty);
-    w.u64(stats_.detectedRaw);
-    w.u64(stats_.detectedRar);
-}
-
-Status
-CloakingEngine::restoreState(StateReader &r)
-{
-    RARPRED_RETURN_IF_ERROR(detector_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(dpnt_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(sf_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.loads));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.stores));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.coveredRaw));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.coveredRar));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.mispredRaw));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.mispredRar));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.predictedEmpty));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.detectedRaw));
-    return r.u64(&stats_.detectedRar);
-}
-
 } // namespace rarpred

@@ -175,10 +175,6 @@ class CloakingEngine final : public TraceSink
 
     void resetStats() { stats_ = CloakingStats{}; }
 
-    /** Serialize detector, DPNT, synonym file, and statistics. */
-    void saveState(StateWriter &w) const;
-    Status restoreState(StateReader &r);
-
   private:
     static DdtConfig ddtConfigFor(const CloakingConfig &config);
 

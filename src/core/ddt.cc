@@ -13,7 +13,6 @@ DependenceDetector::DependenceDetector(const DdtConfig &config)
 void
 DependenceDetector::onStore(uint64_t pc, uint64_t addr)
 {
-    ++mutations_;
     const uint64_t line = lineOf(addr);
     if (config_.separateTables) {
         // A store ends any RAR chain through this address: the next
@@ -35,7 +34,6 @@ DependenceDetector::onStore(uint64_t pc, uint64_t addr)
 std::optional<Dependence>
 DependenceDetector::onLoad(uint64_t pc, uint64_t addr)
 {
-    ++mutations_;
     const uint64_t line = lineOf(addr);
 
     if (config_.separateTables) {
@@ -75,7 +73,6 @@ DependenceDetector::onLoad(uint64_t pc, uint64_t addr)
 void
 DependenceDetector::clear()
 {
-    ++mutations_;
     table_.clear();
     loadTable_.clear();
 }
@@ -104,63 +101,6 @@ DependenceDetector::injectFault(Rng &rng)
         injected = true;
     });
     return injected;
-}
-
-bool
-DependenceDetector::injectStructuralFault()
-{
-    auto &table = table_.size() > 0 ? table_ : loadTable_;
-    if (table.size() == 0)
-        return false;
-    bool injected = false;
-    table.forEach([&](uint64_t, Entry &e) {
-        if (injected)
-            return;
-        e.pc |= 1ull << 63;
-        injected = true;
-    });
-    return injected;
-}
-
-bool
-DependenceDetector::auditOk() const
-{
-    // PC-bound invariant: MicroISA byte PCs fit 32 bits (PackedInst
-    // stores them as u32), so a recorded PC above that is corruption.
-    if (!table_.auditIntegrity() || !loadTable_.auditIntegrity())
-        return false;
-    bool ok = true;
-    const auto checkPc = [&ok](uint64_t, const Entry &e) {
-        if (e.pc >= (1ull << 32))
-            ok = false;
-    };
-    table_.forEach(checkPc);
-    loadTable_.forEach(checkPc);
-    return ok;
-}
-
-void
-DependenceDetector::saveState(StateWriter &w) const
-{
-    const auto saveEntry = [](StateWriter &out, const Entry &e) {
-        out.boolean(e.isStore);
-        out.u64(e.pc);
-    };
-    table_.saveState(w, saveEntry);
-    loadTable_.saveState(w, saveEntry);
-    w.u64(mutations_);
-}
-
-Status
-DependenceDetector::restoreState(StateReader &r)
-{
-    const auto loadEntry = [](StateReader &in, Entry *e) {
-        RARPRED_RETURN_IF_ERROR(in.boolean(&e->isStore));
-        return in.u64(&e->pc);
-    };
-    RARPRED_RETURN_IF_ERROR(table_.restoreState(r, loadEntry));
-    RARPRED_RETURN_IF_ERROR(loadTable_.restoreState(r, loadEntry));
-    return r.u64(&mutations_);
 }
 
 } // namespace rarpred

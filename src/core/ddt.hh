@@ -96,27 +96,6 @@ class DependenceDetector
     bool injectFault(Rng &rng);
 
     /**
-     * Deterministic structural corruption for the online auditor: set
-     * a high bit of one recorded producer PC, violating the pc < 2^32
-     * invariant (MicroISA byte PCs fit 32 bits, see PackedInst).
-     * @return false when the table is empty (nothing to corrupt).
-     */
-    bool injectStructuralFault();
-
-    /**
-     * Structural invariants for the online auditor: internal LRU/index
-     * agreement, capacity bounds, and every recorded PC < 2^32.
-     */
-    bool auditOk() const;
-
-    /** Serialize both tables, preserving exact LRU order. */
-    void saveState(StateWriter &w) const;
-    Status restoreState(StateReader &r);
-
-    /** Monotone count of mutating observations (for CRC audits). */
-    uint64_t mutations() const { return mutations_; }
-
-    /**
      * Probe-path counters of the shared (or store) table; with
      * separateTables the load table's counters are reported
      * separately by loadProbeStats().
@@ -144,7 +123,6 @@ class DependenceDetector
     FlatLruTable<Entry> table_;
     /** Load table, used only when separateTables. */
     FlatLruTable<Entry> loadTable_;
-    uint64_t mutations_ = 0;
 };
 
 } // namespace rarpred

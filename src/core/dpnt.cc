@@ -15,9 +15,6 @@ Dpnt::Dpnt(const DpntConfig &config)
 DpntEntry *
 Dpnt::lookup(uint64_t pc)
 {
-    // Counts as a mutation: touch() reorders recency, which changes
-    // the serialized table image the CRC audit hashes.
-    ++mutations_;
     // PCs are 4-byte aligned; drop the zero bits so set indexing uses
     // meaningful address bits.
     return table_.touch(pc >> 2);
@@ -41,7 +38,6 @@ Dpnt::replaceAll(Synonym from, Synonym to)
 void
 Dpnt::train(const Dependence &dep)
 {
-    ++mutations_;
     // Ensure both entries exist first: inserting the second can move
     // or evict the first within its set, so pointers are only taken
     // afterwards, via non-mutating finds.
@@ -126,80 +122,9 @@ Dpnt::injectFault(Rng &rng)
 void
 Dpnt::clear()
 {
-    ++mutations_;
     table_.clear();
     nextSynonym_ = 1;
     merges_ = 0;
-}
-
-bool
-Dpnt::injectStructuralFault()
-{
-    bool injected = false;
-    table_.forEach([&](uint64_t, DpntEntry &e) {
-        if (injected || e.synonym == kNoSynonym)
-            return;
-        e.synonym |= 1ull << 63;
-        injected = true;
-    });
-    return injected;
-}
-
-bool
-Dpnt::auditOk() const
-{
-    if (!table_.auditIntegrity())
-        return false;
-    if (config_.geometry.entries != 0 &&
-        table_.size() > config_.geometry.entries) {
-        return false;
-    }
-    bool ok = true;
-    table_.forEach([&](uint64_t, const DpntEntry &e) {
-        if (e.synonym != kNoSynonym && e.synonym >= nextSynonym_)
-            ok = false;
-    });
-    return ok;
-}
-
-void
-Dpnt::saveState(StateWriter &w) const
-{
-    table_.saveState(w, [](StateWriter &out, const DpntEntry &e) {
-        out.u64(e.synonym);
-        out.boolean(e.producer.valid);
-        out.u8(e.producer.conf.value());
-        out.boolean(e.consumer.valid);
-        out.u8(e.consumer.conf.value());
-        out.boolean(e.producerIsStore);
-    });
-    w.u64(nextSynonym_);
-    w.u64(merges_);
-    w.u64(mutations_);
-}
-
-Status
-Dpnt::restoreState(StateReader &r)
-{
-    const auto loadEntry = [](StateReader &in, DpntEntry *e) {
-        uint8_t conf = 0;
-        RARPRED_RETURN_IF_ERROR(in.u64(&e->synonym));
-        RARPRED_RETURN_IF_ERROR(in.boolean(&e->producer.valid));
-        RARPRED_RETURN_IF_ERROR(in.u8(&conf));
-        if (conf > e->producer.conf.maxValue())
-            return Status::corruption("confidence counter over max");
-        e->producer.conf.set(conf);
-        RARPRED_RETURN_IF_ERROR(in.boolean(&e->consumer.valid));
-        RARPRED_RETURN_IF_ERROR(in.u8(&conf));
-        if (conf > e->consumer.conf.maxValue())
-            return Status::corruption("confidence counter over max");
-        e->consumer.conf.set(conf);
-        return in.boolean(&e->producerIsStore);
-    };
-    RARPRED_RETURN_IF_ERROR(table_.restoreState(r, loadEntry));
-    RARPRED_RETURN_IF_ERROR(r.u64(&nextSynonym_));
-    RARPRED_RETURN_IF_ERROR(r.u64(&merges_));
-    return r.u64(&mutations_);
 }
 
 } // namespace rarpred

@@ -151,28 +151,6 @@ class Dpnt
      */
     bool injectFault(Rng &rng);
 
-    /**
-     * Deterministic structural corruption for the online auditor: set
-     * a high bit of one entry's synonym, violating the invariant that
-     * every assigned synonym is below nextSynonym_.
-     * @return false when no entry carries a synonym.
-     */
-    bool injectStructuralFault();
-
-    /**
-     * Structural invariants for the online auditor: table integrity,
-     * size within geometry, and every synonym within the allocated
-     * range.
-     */
-    bool auditOk() const;
-
-    /** Serialize the table, allocator, and merge count. */
-    void saveState(StateWriter &w) const;
-    Status restoreState(StateReader &r);
-
-    /** Monotone count of mutating operations (for CRC audits). */
-    uint64_t mutations() const { return mutations_; }
-
     /** Probe-path counters / fill of the underlying table. */
     ProbeStats probeStats() const { return table_.probeStats(); }
 
@@ -188,7 +166,6 @@ class Dpnt
     HybridTable<DpntEntry> table_;
     Synonym nextSynonym_ = 1;
     uint64_t merges_ = 0;
-    uint64_t mutations_ = 0;
 };
 
 } // namespace rarpred

@@ -45,7 +45,6 @@ class SynonymRenameTable
     void
     rename(Synonym synonym, uint64_t producer_seq)
     {
-        ++mutations_;
         table_.insert(synonym, producer_seq);
         ++renames_;
     }
@@ -58,9 +57,6 @@ class SynonymRenameTable
     std::optional<uint64_t>
     lookup(Synonym synonym)
     {
-        // touch() reorders recency, which changes the serialized image
-        // the CRC audit hashes, so it counts as a mutation.
-        ++mutations_;
         uint64_t *seq = table_.touch(synonym);
         if (!seq)
             return std::nullopt;
@@ -75,7 +71,6 @@ class SynonymRenameTable
     void
     retire(Synonym synonym, uint64_t producer_seq)
     {
-        ++mutations_;
         uint64_t *seq = table_.find(synonym);
         if (seq && *seq == producer_seq)
             table_.erase(synonym);
@@ -84,70 +79,7 @@ class SynonymRenameTable
     size_t size() const { return table_.size(); }
     uint64_t renames() const { return renames_; }
 
-    void
-    clear()
-    {
-        ++mutations_;
-        table_.clear();
-    }
-
-    /**
-     * Deterministic structural corruption for the online auditor:
-     * insert a rename under a synonym no DPNT could have allocated
-     * (high bit set), violating the key-range invariant.
-     */
-    bool
-    injectStructuralFault()
-    {
-        table_.insert((1ull << 63) | 1, 0);
-        return true;
-    }
-
-    /**
-     * Structural invariants for the online auditor: table integrity,
-     * size within geometry, every renamed synonym actually allocated
-     * (< @p synonym_bound).
-     */
-    bool
-    auditOk(uint64_t synonym_bound) const
-    {
-        if (!table_.auditIntegrity())
-            return false;
-        const auto &geom = table_.geometry();
-        if (geom.entries != 0 && table_.size() > geom.entries)
-            return false;
-        bool ok = true;
-        table_.forEach([&](uint64_t synonym, const uint64_t &) {
-            if (synonym == kNoSynonym || synonym >= synonym_bound)
-                ok = false;
-        });
-        return ok;
-    }
-
-    /** Serialize the table (exact recency order) and counters. */
-    void
-    saveState(StateWriter &w) const
-    {
-        table_.saveState(w, [](StateWriter &out, const uint64_t &seq) {
-            out.u64(seq);
-        });
-        w.u64(renames_);
-        w.u64(mutations_);
-    }
-
-    Status
-    restoreState(StateReader &r)
-    {
-        const auto loadSeq = [](StateReader &in, uint64_t *seq) {
-            return in.u64(seq);
-        };
-        RARPRED_RETURN_IF_ERROR(table_.restoreState(r, loadSeq));
-        RARPRED_RETURN_IF_ERROR(r.u64(&renames_));
-        return r.u64(&mutations_);
-    }
-
-    /** Monotone count of mutating operations (for CRC audits). */
-    uint64_t mutations() const { return mutations_; }
+    void clear() { table_.clear(); }
 
     /** Probe-path counters / fill of the underlying table. */
     ProbeStats probeStats() const { return table_.probeStats(); }
@@ -155,7 +87,6 @@ class SynonymRenameTable
   private:
     HybridTable<uint64_t> table_;
     uint64_t renames_ = 0;
-    uint64_t mutations_ = 0;
 };
 
 } // namespace rarpred

@@ -41,7 +41,6 @@ class SynonymFile
     void
     allocate(Synonym synonym)
     {
-        ++mutations_;
         table_.insert(synonym, SfEntry{});
     }
 
@@ -58,7 +57,6 @@ class SynonymFile
     produce(Synonym synonym, uint64_t value, bool from_store,
             uint64_t producer_pc, uint64_t producer_seq = 0)
     {
-        ++mutations_;
         table_.insert(synonym, SfEntry{true, value, from_store,
                                        producer_pc, producer_seq});
     }
@@ -70,21 +68,13 @@ class SynonymFile
     SfEntry *
     consume(Synonym synonym)
     {
-        // touch() reorders recency, which changes the serialized image
-        // the CRC audit hashes, so it counts as a mutation.
-        ++mutations_;
         return table_.touch(synonym);
     }
 
     /** Non-mutating lookup. */
     const SfEntry *peek(Synonym synonym) { return table_.find(synonym); }
 
-    void
-    clear()
-    {
-        ++mutations_;
-        table_.clear();
-    }
+    void clear() { table_.clear(); }
 
     /**
      * Fault-injection hook (src/faultinject): corrupt one random
@@ -126,84 +116,11 @@ class SynonymFile
 
     size_t size() const { return table_.size(); }
 
-    /**
-     * Deterministic structural corruption for the online auditor: set
-     * a high bit of one entry's producer PC, violating pc < 2^32.
-     * @return false when the file is empty.
-     */
-    bool
-    injectStructuralFault()
-    {
-        bool injected = false;
-        table_.forEach([&](uint64_t, SfEntry &e) {
-            if (injected)
-                return;
-            e.producerPc |= 1ull << 63;
-            injected = true;
-        });
-        return injected;
-    }
-
-    /**
-     * Structural invariants for the online auditor: table integrity,
-     * size within geometry, every key a synonym the DPNT has actually
-     * allocated (< @p synonym_bound), and producer PCs < 2^32.
-     */
-    bool
-    auditOk(uint64_t synonym_bound) const
-    {
-        if (!table_.auditIntegrity())
-            return false;
-        const auto &geom = table_.geometry();
-        if (geom.entries != 0 && table_.size() > geom.entries)
-            return false;
-        bool ok = true;
-        table_.forEach([&](uint64_t synonym, const SfEntry &e) {
-            if (synonym == kNoSynonym || synonym >= synonym_bound)
-                ok = false;
-            if (e.producerPc >= (1ull << 32))
-                ok = false;
-        });
-        return ok;
-    }
-
-    /** Serialize the file, preserving exact recency order. */
-    void
-    saveState(StateWriter &w) const
-    {
-        table_.saveState(w, [](StateWriter &out, const SfEntry &e) {
-            out.boolean(e.full);
-            out.u64(e.value);
-            out.boolean(e.fromStore);
-            out.u64(e.producerPc);
-            out.u64(e.producerSeq);
-        });
-        w.u64(mutations_);
-    }
-
-    Status
-    restoreState(StateReader &r)
-    {
-        const auto loadEntry = [](StateReader &in, SfEntry *e) {
-            RARPRED_RETURN_IF_ERROR(in.boolean(&e->full));
-            RARPRED_RETURN_IF_ERROR(in.u64(&e->value));
-            RARPRED_RETURN_IF_ERROR(in.boolean(&e->fromStore));
-            RARPRED_RETURN_IF_ERROR(in.u64(&e->producerPc));
-            return in.u64(&e->producerSeq);
-        };
-        RARPRED_RETURN_IF_ERROR(table_.restoreState(r, loadEntry));
-        return r.u64(&mutations_);
-    }
-
-    /** Monotone count of mutating operations (for CRC audits). */
-    uint64_t mutations() const { return mutations_; }
-
     /** Probe-path counters / fill of the underlying table. */
     ProbeStats probeStats() const { return table_.probeStats(); }
 
   private:
     HybridTable<SfEntry> table_;
-    uint64_t mutations_ = 0;
 };
 
 } // namespace rarpred

@@ -21,13 +21,9 @@ OooCpu::OooCpu(const CpuConfig &config, const CloakTimingConfig &cloak)
 {
     // All per-instruction dynamic state comes out of the arena, once.
     // The rings hold one element beyond their logical bound because
-    // each push happens before the corresponding pop. The store-queue
-    // ring is sized for the restoreState guard (windowSize) as well
-    // as the steady-state bound (lsqSize).
+    // each push happens before the corresponding pop.
     commitRing_.init(arena_, (size_t)config.windowSize + 1);
-    storeQueue_.init(
-        arena_,
-        (size_t)std::max(config.windowSize, config.lsqSize) + 1);
+    storeQueue_.init(arena_, (size_t)config.lsqSize + 1);
     valueTime_ = arena_.allocateArray<uint64_t>(kValueRing);
     valueSeq_ = arena_.allocateArray<uint64_t>(kValueRing);
     commitTime_ = arena_.allocateArray<uint64_t>(kValueRing);
@@ -433,140 +429,6 @@ CpuStats
 OooCpu::stats() const
 {
     return stats_;
-}
-
-void
-OooCpu::saveState(StateWriter &w) const
-{
-    w.boolean(engine_ != nullptr);
-    if (engine_)
-        engine_->saveState(w);
-    memory_.saveState(w);
-    branchPredictor_.saveState(w);
-    ras_.saveState(w);
-    for (uint64_t reg = 0; reg < reg::kNumRegs; ++reg) {
-        w.u64(specReady_[reg]);
-        w.u64(archReady_[reg]);
-    }
-    w.u64(fetchRedirect_);
-    fetchBw_.saveState(w);
-    issueBw_.saveState(w);
-    lsqBw_.saveState(w);
-    commitBw_.saveState(w);
-    w.u64(commitRing_.size());
-    for (size_t i = 0; i < commitRing_.size(); ++i)
-        w.u64(commitRing_[i]);
-    w.u64(lastCommit_);
-    w.u64(storeQueue_.size());
-    for (size_t i = 0; i < storeQueue_.size(); ++i) {
-        const StoreRecord &s = storeQueue_[i];
-        w.u64(s.seq);
-        w.u64(s.pc);
-        w.u64(s.addr);
-        w.u64(s.addrReady);
-        w.u64(s.dataReadySpec);
-        w.u64(s.dataReadyArch);
-    }
-    w.u64(storeAddrReadyMax_);
-    for (size_t i = 0; i < kValueRing; ++i) {
-        w.u64(valueTime_[i]);
-        w.u64(valueSeq_[i]);
-        w.u64(commitTime_[i]);
-        w.u64(commitSeq_[i]);
-    }
-    srt_.saveState(w);
-    storeSets_.saveState(w);
-    w.u64(stats_.instructions);
-    w.u64(stats_.cycles);
-    w.u64(stats_.loads);
-    w.u64(stats_.stores);
-    w.u64(stats_.branchMispredicts);
-    w.u64(stats_.memOrderViolations);
-    w.u64(stats_.valueSpecUsed);
-    w.u64(stats_.valueSpecCorrect);
-    w.u64(stats_.valueSpecWrong);
-    w.u64(stats_.squashes);
-    w.u64(stats_.specCyclesSaved);
-    w.u64(lastFetch_);
-    w.u64(lastFetchBlock_);
-    w.u64(pruneCounter_);
-}
-
-Status
-OooCpu::restoreState(StateReader &r)
-{
-    bool hasEngine = false;
-    RARPRED_RETURN_IF_ERROR(r.boolean(&hasEngine));
-    if (hasEngine != (engine_ != nullptr)) {
-        return Status::failedPrecondition(
-            "snapshot cloaking configuration does not match the CPU");
-    }
-    if (engine_)
-        RARPRED_RETURN_IF_ERROR(engine_->restoreState(r));
-    RARPRED_RETURN_IF_ERROR(memory_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(branchPredictor_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(ras_.restoreState(r));
-    for (uint64_t reg = 0; reg < reg::kNumRegs; ++reg) {
-        RARPRED_RETURN_IF_ERROR(r.u64(&specReady_[reg]));
-        RARPRED_RETURN_IF_ERROR(r.u64(&archReady_[reg]));
-    }
-    RARPRED_RETURN_IF_ERROR(r.u64(&fetchRedirect_));
-    RARPRED_RETURN_IF_ERROR(fetchBw_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(issueBw_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(lsqBw_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(commitBw_.restoreState(r));
-    uint64_t size = 0;
-    RARPRED_RETURN_IF_ERROR(r.u64(&size));
-    if (size > config_.windowSize)
-        return Status::corruption("commit ring image over window size");
-    commitRing_.clear();
-    for (uint64_t i = 0; i < size; ++i) {
-        uint64_t cycle = 0;
-        RARPRED_RETURN_IF_ERROR(r.u64(&cycle));
-        commitRing_.push_back(cycle);
-    }
-    RARPRED_RETURN_IF_ERROR(r.u64(&lastCommit_));
-    RARPRED_RETURN_IF_ERROR(r.u64(&size));
-    if (size > config_.windowSize)
-        return Status::corruption("store queue image over window size");
-    storeQueue_.clear();
-    for (uint64_t i = 0; i < size; ++i) {
-        StoreRecord s{};
-        RARPRED_RETURN_IF_ERROR(r.u64(&s.seq));
-        RARPRED_RETURN_IF_ERROR(r.u64(&s.pc));
-        RARPRED_RETURN_IF_ERROR(r.u64(&s.addr));
-        RARPRED_RETURN_IF_ERROR(r.u64(&s.addrReady));
-        RARPRED_RETURN_IF_ERROR(r.u64(&s.dataReadySpec));
-        RARPRED_RETURN_IF_ERROR(r.u64(&s.dataReadyArch));
-        storeQueue_.push_back(s);
-    }
-    storeByAddr_.clear();
-    storesPopped_ = 0;
-    for (size_t i = 0; i < storeQueue_.size(); ++i)
-        storeByAddr_.findOrInsert(storeQueue_[i].addr, 0) = i;
-    RARPRED_RETURN_IF_ERROR(r.u64(&storeAddrReadyMax_));
-    for (size_t i = 0; i < kValueRing; ++i) {
-        RARPRED_RETURN_IF_ERROR(r.u64(&valueTime_[i]));
-        RARPRED_RETURN_IF_ERROR(r.u64(&valueSeq_[i]));
-        RARPRED_RETURN_IF_ERROR(r.u64(&commitTime_[i]));
-        RARPRED_RETURN_IF_ERROR(r.u64(&commitSeq_[i]));
-    }
-    RARPRED_RETURN_IF_ERROR(srt_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(storeSets_.restoreState(r));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.instructions));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.cycles));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.loads));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.stores));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.branchMispredicts));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.memOrderViolations));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.valueSpecUsed));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.valueSpecCorrect));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.valueSpecWrong));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.squashes));
-    RARPRED_RETURN_IF_ERROR(r.u64(&stats_.specCyclesSaved));
-    RARPRED_RETURN_IF_ERROR(r.u64(&lastFetch_));
-    RARPRED_RETURN_IF_ERROR(r.u64(&lastFetchBlock_));
-    return r.u64(&pruneCounter_);
 }
 
 } // namespace rarpred

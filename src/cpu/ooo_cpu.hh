@@ -62,9 +62,6 @@ class OooCpu final : public TraceSink
     /** Underlying cloaking engine (null when cloaking is disabled). */
     CloakingEngine *cloakingEngine() { return engine_.get(); }
 
-    /** Bypassing structure, exposed for the online invariant auditor. */
-    SynonymRenameTable &srt() { return srt_; }
-
     /** Measured load/probe stats of the hot-path tables. */
     struct HotPathLoads
     {
@@ -76,17 +73,6 @@ class OooCpu final : public TraceSink
         size_t arenaReservedBytes = 0;
     };
     HotPathLoads hotPathLoads() const;
-
-    /**
-     * Serialize the complete timing state: the cloaking engine, the
-     * memory hierarchy, branch predictors, scoreboards, bandwidth
-     * limiters, window/store-queue state, completion rings, SRT,
-     * store sets, and statistics. Configuration is not serialized —
-     * the restore target must be constructed with the same config,
-     * which the snapshot fingerprint guarantees.
-     */
-    void saveState(StateWriter &w) const;
-    Status restoreState(StateReader &r);
 
   private:
     /**
@@ -106,9 +92,8 @@ class OooCpu final : public TraceSink
      * bounds check plus one counter increment, with no hashing,
      * probing or tombstones, and prune() is a sequential zeroing of
      * the vacated range. The rare request below base_ (possible only
-     * right after a prune or a restore) falls through to an exact
-     * FlatMap so allocate() results, size() and the sorted
-     * saveState() image stay bit-identical to a plain map.
+     * right after a prune) falls through to an exact FlatMap so
+     * allocate() results and size() stay identical to a plain map.
      */
     class BandwidthLimiter
     {
@@ -160,64 +145,6 @@ class OooCpu final : public TraceSink
         {
             return {lookups_, probes_,           maxProbe_,
                     resizes_, low_.size() + live_, counts_.size()};
-        }
-
-        /** Serialize sorted by cycle: the image must be byte-stable. */
-        void
-        saveState(StateWriter &w) const
-        {
-            std::vector<uint64_t> cycles;
-            cycles.reserve(low_.size() + live_);
-            low_.forEach([&](uint64_t cycle, const unsigned &) {
-                cycles.push_back(cycle);
-            });
-            if (!counts_.empty())
-                for (uint64_t cycle = base_; cycle <= top_; ++cycle)
-                    if (counts_[cycle & mask_] != 0)
-                        cycles.push_back(cycle);
-            std::sort(cycles.begin(), cycles.end());
-            w.u64(cycles.size());
-            for (uint64_t cycle : cycles) {
-                w.u64(cycle);
-                w.u32(cycle < base_ ? *low_.find(cycle)
-                                    : counts_[cycle & mask_]);
-            }
-        }
-
-        Status
-        restoreState(StateReader &r)
-        {
-            uint64_t size = 0;
-            RARPRED_RETURN_IF_ERROR(r.u64(&size));
-            low_.clear();
-            std::fill(counts_.begin(), counts_.end(), 0);
-            live_ = 0;
-            base_ = 0;
-            top_ = 0;
-            bool first = true;
-            for (uint64_t i = 0; i < size; ++i) {
-                uint64_t cycle = 0;
-                uint32_t count = 0;
-                RARPRED_RETURN_IF_ERROR(r.u64(&cycle));
-                RARPRED_RETURN_IF_ERROR(r.u32(&count));
-                if (first) {
-                    base_ = cycle;
-                    top_ = cycle;
-                    first = false;
-                }
-                if (cycle < base_) { // unsorted image: exact fallback
-                    low_.insert(cycle, count);
-                    continue;
-                }
-                if (cycle - base_ >= counts_.size())
-                    growTo(cycle);
-                uint32_t &slot = counts_[cycle & mask_];
-                live_ += (slot == 0 && count != 0);
-                slot = count;
-                if (cycle > top_)
-                    top_ = cycle;
-            }
-            return Status{};
         }
 
       private:
@@ -336,40 +263,6 @@ class OooCpu final : public TraceSink
             return {lookups_, probes_, maxProbe_, 0, size(), size_t{1}};
         }
 
-        /** Same self-describing (cycle, count) list as the map form. */
-        void
-        saveState(StateWriter &w) const
-        {
-            w.u64(count_ != 0 ? 1 : 0);
-            if (count_ != 0) {
-                w.u64(cycle_);
-                w.u32(count_);
-            }
-        }
-
-        Status
-        restoreState(StateReader &r)
-        {
-            uint64_t size = 0;
-            RARPRED_RETURN_IF_ERROR(r.u64(&size));
-            cycle_ = 0;
-            count_ = 0;
-            // A legacy multi-entry image may carry counts below its
-            // newest cycle; those are unreachable under the monotone
-            // contract, so only the newest entry survives.
-            for (uint64_t i = 0; i < size; ++i) {
-                uint64_t cycle = 0;
-                uint32_t count = 0;
-                RARPRED_RETURN_IF_ERROR(r.u64(&cycle));
-                RARPRED_RETURN_IF_ERROR(r.u32(&count));
-                if (cycle >= cycle_) {
-                    cycle_ = cycle;
-                    count_ = count;
-                }
-            }
-            return Status{};
-        }
-
       private:
         unsigned width_;
         uint64_t cycle_ = 0; ///< newest allocated cycle
@@ -449,7 +342,7 @@ class OooCpu final : public TraceSink
     ArenaRing<uint64_t> commitRing_;
     uint64_t lastCommit_ = 0;
 
-    // In-flight stores (bounded by window size).
+    // In-flight stores (bounded by the LSQ size).
     ArenaRing<StoreRecord> storeQueue_;
     /** Prefix-max of store address-ready times (conservative mode). */
     uint64_t storeAddrReadyMax_ = 0;
@@ -457,10 +350,9 @@ class OooCpu final : public TraceSink
      * addr -> ordinal of the youngest in-queue store to that word
      * (ordinal - storesPopped_ = position in storeQueue_), so the
      * per-load conflict probe is one map lookup instead of a reverse
-     * scan of the queue. Derived state: rebuilt on restore, never
-     * serialized. When the mapped store leaves the queue every older
-     * same-address store is already gone (the queue is FIFO), so a
-     * missing key exactly means "no prior store to this word".
+     * scan of the queue. When the mapped store leaves the queue every
+     * older same-address store is already gone (the queue is FIFO), so
+     * a missing key exactly means "no prior store to this word".
      */
     FlatMap<uint64_t> storeByAddr_;
     uint64_t storesPopped_ = 0; ///< ordinal of storeQueue_'s front

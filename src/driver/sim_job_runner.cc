@@ -134,9 +134,6 @@ class WatchdogTraceSource : public TraceSource
         return inner_.nextBlock(out, max);
     }
 
-    /** Snapshot-restore fallback must reach the real cursor. */
-    bool rewindToStart() override { return inner_.rewindToStart(); }
-
   private:
     static constexpr uint32_t kCheckInterval = 1024;
 
@@ -178,11 +175,8 @@ SimJobRunner::SimJobRunner(const RunnerConfig &config,
       statGroup_("driver")
 {
     // Process isolation: own a pool when asked for one and none is
-    // shared. Epoch snapshots and online audits are in-process
-    // machinery a worker process cannot serve, so those runs stay
-    // in-process (results are byte-identical either way).
-    if (shared_pool == nullptr && config.procWorkers > 0 &&
-        config.snapshotDir.empty() && config.auditEvery == 0) {
+    // shared.
+    if (shared_pool == nullptr && config.procWorkers > 0) {
         WorkerPoolConfig pc;
         pc.workers = config.procWorkers;
         pc.heartbeatTimeoutMs = config.workerHeartbeatTimeoutMs;
@@ -264,16 +258,6 @@ SimJobRunner::run(const std::vector<JobSpec> &jobs)
     return Status{};
 }
 
-std::string
-SimJobRunner::snapshotPathFor(std::string_view workload,
-                              uint64_t config_hash) const
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "-c%016llx.rars",
-                  (unsigned long long)config_hash);
-    return config_.snapshotDir + "/" + std::string(workload) + buf;
-}
-
 Status
 SimJobRunner::runAttempt(const JobSpec &job, size_t index,
                          unsigned attempt)
@@ -342,38 +326,11 @@ SimJobRunner::runAttempt(const JobSpec &job, size_t index,
                     ? base
                     : base ^ (0x517cc1b727220a95ull * (attempt + 1)));
 
-        // Snapshot/audit context for this attempt. A retry restores
-        // from the job's last epoch snapshot (when one exists) so a
-        // crashed or timed-out attempt resumes instead of starting
-        // over; the divergence oracle falls back to from-scratch if
-        // the snapshot does not match the trace.
-        SimContext simCtx;
-        simCtx.auditEvery = config_.auditEvery;
-        simCtx.fingerprint = snapshotFingerprint(
-            job.workload->abbrev, job.configHash, config_.scale,
-            config_.maxInsts);
-        simCtx.counters = &auditCounters_;
-        if (!config_.snapshotDir.empty()) {
-            simCtx.snapshotPath =
-                snapshotPathFor(job.workload->abbrev, job.configHash);
-            simCtx.snapshotEvery = config_.snapshotEvery;
-            simCtx.restore = config_.restoreSnapshots || attempt > 0;
-        }
-        ScopedSimContext scope(simCtx);
-
-        Status st;
         if (has_deadline) {
             WatchdogTraceSource watched(replay, deadline);
-            st = job.run(watched, rng);
-        } else {
-            st = job.run(replay, rng);
+            return job.run(watched, rng);
         }
-        // A completed job's snapshot is dead weight (the journal is
-        // the completion record); drop it so a later --restore of the
-        // sweep cannot resurrect stale per-job state.
-        if (st.ok() && !simCtx.snapshotPath.empty())
-            std::remove(simCtx.snapshotPath.c_str());
-        return st;
+        return job.run(replay, rng);
     } catch (const JobDeadlineExceeded &) {
         return Status::deadlineExceeded(
             "job exceeded its " +
@@ -486,23 +443,6 @@ SimJobRunner::dumpStats(std::ostream &os) const
     os << "driver.traceResidentTraces " << cs.residentTraces << "\n";
     os << "driver.tracePeakResidentTraces " << cs.peakResidentTraces
        << "\n";
-    const AuditCounters &a = auditCounters_;
-    os << "driver.audit.runs "
-       << a.runs.load(std::memory_order_relaxed) << "\n";
-    os << "driver.audit.violations "
-       << a.violations.load(std::memory_order_relaxed) << "\n";
-    os << "driver.audit.flushes "
-       << a.flushes.load(std::memory_order_relaxed) << "\n";
-    os << "driver.audit.crcMismatches "
-       << a.crcMismatches.load(std::memory_order_relaxed) << "\n";
-    os << "driver.audit.bitflipsInjected "
-       << a.bitflipsInjected.load(std::memory_order_relaxed) << "\n";
-    os << "driver.snapshot.written "
-       << a.snapshotsWritten.load(std::memory_order_relaxed) << "\n";
-    os << "driver.snapshot.restored "
-       << a.snapshotsRestored.load(std::memory_order_relaxed) << "\n";
-    os << "driver.snapshot.restoreRejected "
-       << a.restoreRejected.load(std::memory_order_relaxed) << "\n";
     if (pool_ != nullptr)
         pool_->dumpStats(os);
 }

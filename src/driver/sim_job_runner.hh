@@ -56,7 +56,6 @@
 #include "common/stats.hh"
 #include "common/status.hh"
 #include "cpu/cpu_config.hh"
-#include "driver/sim_snapshot.hh"
 #include "driver/trace_cache.hh"
 #include "vm/trace.hh"
 
@@ -117,29 +116,12 @@ struct RunnerConfig
     uint64_t traceBudgetBytes = 0;  ///< 0 = unlimited
     uint32_t traceBudgetTraces = 0; ///< 0 = unlimited
 
-    /** Directory for per-job epoch snapshots; empty disables them. */
-    std::string snapshotDir;
-    /** Snapshot every N instructions (needs snapshotDir); 0 = off. */
-    uint64_t snapshotEvery = 0;
-    /**
-     * Try to resume each job from its snapshot on the *first* attempt
-     * (--restore after a crash). Independently of this flag, every
-     * retry attempt restores from the job's last epoch snapshot when
-     * one exists, so a watchdog-killed job does not start over.
-     */
-    bool restoreSnapshots = false;
-    /** Audit hint-table invariants every N instructions; 0 = off. */
-    uint64_t auditEvery = 0;
-
     /**
      * Process-isolated execution (--workers-proc): run each proc-
      * dispatchable job (JobSpec::procConfig != null) in one of N
      * sandboxed rarpred-worker processes instead of on the worker
      * thread itself, so a crash, wedge, or OOM in a cell costs one
      * attempt instead of the whole sweep. 0 disables the pool.
-     * Ignored (with in-process execution) when snapshotDir or
-     * auditEvery are set — epoch snapshots and online audits are
-     * in-process machinery; stats stay byte-identical either way.
      */
     unsigned procWorkers = 0;
     /** Kill a worker process after this much mid-job silence. */
@@ -248,13 +230,6 @@ class SimJobRunner
     /** Worker-process pool (null without --workers-proc). */
     WorkerPool *workerPool() { return pool_; }
 
-    /** Snapshot/audit counters (driver.audit.*, driver.snapshot.*). */
-    AuditCounters &auditCounters() { return auditCounters_; }
-
-    /** Snapshot file path for a job (snapshotDir must be set). */
-    std::string snapshotPathFor(std::string_view workload,
-                                uint64_t config_hash) const;
-
     /** Journal bookkeeping, surfaced in dumpStats() (driver.*). */
     void noteJournalReplay(uint64_t replayed, uint64_t torn);
     void noteJournalAppend();
@@ -303,7 +278,6 @@ class SimJobRunner
     uint64_t jobMicrosMax_ = 0;
     Histogram queueLatencyMs_; ///< per-job queue latency, 10ms buckets
     StatGroup statGroup_;
-    AuditCounters auditCounters_; ///< atomics; no lock needed
 };
 
 } // namespace rarpred::driver

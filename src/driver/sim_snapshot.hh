@@ -1,193 +1,28 @@
 /**
  * @file
- * Mid-simulation checkpoint/restore and the online invariant auditor.
+ * Compatibility forwarder: pumpSimulation() is drainTraceBatched().
  *
- * Two-tier recovery beneath the sweep journal (DESIGN.md §6c): the
- * journal makes a *sweep* resumable at job granularity; this layer
- * makes a single *simulation* resumable at epoch granularity and
- * self-healing against corrupted hint state.
- *
- * Snapshot files ("RARS", version 1) follow the repo's binary-file
- * conventions (trace v2, RARJ journal): little-endian, CRC-32-guarded
- * header, CRC-guarded payload (the component section chain produced
- * by StateWriter). They are written atomically (temp + fsync +
- * rename, common/statesave.hh) so a crash can never expose a torn
- * snapshot under the final name — and a torn or stale file that does
- * appear is rejected by CRC/fingerprint and the run simply starts
- * from scratch.
- *
- * The restore path carries a divergence oracle: the snapshot records
- * a CRC fingerprint over a trailing window of consumed trace records;
- * on restore the source is fast-forwarded while recomputing that
- * fingerprint, and any mismatch (wrong trace, wrong position, bad
- * image) rewinds the source and regenerates from scratch instead of
- * silently producing wrong stats.
- *
- * The online auditor periodically validates structural invariants of
- * the hint tables (DDT, DPNT, synonym file, SRT): entry-count bounds,
- * synonym/index cross-references, LRU chain integrity, and a CRC over
- * each table image between audits (a changed image with no recorded
- * mutation is silent corruption). A violated structure is repaired by
- * *flushing it to empty* — hint state is performance-only (Moshovos &
- * Sohi), so the run continues correctly at a temporarily lower
- * prediction rate — and the repair is surfaced in driver.audit.*
- * counters rather than a crash.
+ * Every simulation cell runs through the one batched pump in
+ * vm/trace.hh. This header remains only because perfbench/sweeps.cc
+ * still includes it and calls driver::pumpSimulation(); new code calls
+ * drainTraceBatched() directly. Delete it once perfbench moves off it.
  */
 
 #ifndef RARPRED_DRIVER_SIM_SNAPSHOT_HH_
 #define RARPRED_DRIVER_SIM_SNAPSHOT_HH_
 
-#include <atomic>
 #include <cstdint>
-#include <string>
-#include <string_view>
-#include <vector>
 
-#include "common/status.hh"
 #include "vm/trace.hh"
 
 namespace rarpred::driver {
 
-/**
- * Audit/snapshot counters, aggregated across all jobs of a runner
- * and dumped as driver.audit.* / driver.snapshot.* stats. Atomic:
- * worker threads update them concurrently.
- */
-struct AuditCounters
+/** @return drainTraceBatched(@p source, @p sink). */
+inline uint64_t
+pumpSimulation(TraceSource &source, TraceSink &sink)
 {
-    std::atomic<uint64_t> runs{0};          ///< audit passes executed
-    std::atomic<uint64_t> violations{0};    ///< invariant violations
-    std::atomic<uint64_t> flushes{0};       ///< structures flushed
-    std::atomic<uint64_t> crcMismatches{0}; ///< silent-corruption CRCs
-    std::atomic<uint64_t> snapshotsWritten{0};
-    std::atomic<uint64_t> snapshotsRestored{0};
-    std::atomic<uint64_t> restoreRejected{0}; ///< divergence fallbacks
-    /// state_bitflip faults injected; also drives the injection
-    /// round-robin so consecutive fires hit different structures
-    /// even across separate arm/pump cycles.
-    std::atomic<uint64_t> bitflipsInjected{0};
-};
-
-/**
- * Section tag wrapping the entire serialized sink inside a snapshot's
- * state blob: one outer CRC frame covering every component section,
- * so loadSnapshot() can validate the whole image without knowing the
- * sink's internal layout.
- */
-constexpr uint32_t kSnapshotStateTag = 0x50414e53; // "SNAP"
-
-/**
- * Per-job snapshot/audit context, installed thread-locally by the
- * runner (or a test) around the job body so pumpSimulation() can pick
- * it up without changing every sink's interface.
- */
-struct SimContext
-{
-    /** Snapshot file path; empty disables snapshotting/restore. */
-    std::string snapshotPath;
-    /** Snapshot every N instructions; 0 disables epoch snapshots. */
-    uint64_t snapshotEvery = 0;
-    /** Attempt to restore from snapshotPath before simulating. */
-    bool restore = false;
-    /** Audit hint-table invariants every N instructions; 0 = off. */
-    uint64_t auditEvery = 0;
-    /** Identity of this (workload, config, scale, maxInsts) job. */
-    uint64_t fingerprint = 0;
-    /** Counter sink; may be nullptr. */
-    AuditCounters *counters = nullptr;
-};
-
-/** RAII installer for the thread-local SimContext. */
-class ScopedSimContext
-{
-  public:
-    explicit ScopedSimContext(const SimContext &ctx);
-    ~ScopedSimContext();
-
-    ScopedSimContext(const ScopedSimContext &) = delete;
-    ScopedSimContext &operator=(const ScopedSimContext &) = delete;
-
-  private:
-    const SimContext *prev_;
-};
-
-/** @return the installed context, or nullptr outside any scope. */
-const SimContext *currentSimContext();
-
-/**
- * Identity hash of one simulation job for snapshot validation: a
- * snapshot written by a different workload/config/scale/maxInsts
- * must never restore. Stable across platforms and runs.
- */
-uint64_t snapshotFingerprint(std::string_view workload,
-                             uint64_t config_hash, uint32_t scale,
-                             uint64_t max_insts);
-
-/**
- * Drop-in replacement for drainTrace() that adds, when a SimContext
- * is installed and the sink is an OooCpu or CloakingEngine:
- *  - restore-on-entry from the context's snapshot file (with the
- *    divergence oracle; rejection falls back to a from-scratch run
- *    via TraceSource::rewindToStart()),
- *  - epoch snapshots every snapshotEvery instructions,
- *  - periodic invariant audits with flush-to-safe repair,
- *  - the snapshot_torn / snapshot_stale / state_bitflip / epoch_kill
- *    fault points.
- * With no context (or a sink it cannot serialize) it is exactly
- * drainTrace(). @return instructions consumed from @p source by this
- * call plus any instructions skipped via restore — i.e. the stream
- * position reached, matching an uninterrupted drainTrace() total.
- */
-uint64_t pumpSimulation(TraceSource &source, TraceSink &sink);
-
-/**
- * Serialize @p sink (must be an OooCpu or CloakingEngine) and write
- * a complete snapshot file durably to @p path. Exposed for tests;
- * pumpSimulation() calls this at epoch boundaries.
- * @param consumed   Trace records already fed to the sink.
- * @param window_crc Divergence-oracle CRC over the trailing window
- *                   of consumed records (see TraceWindowCrc).
- */
-Status writeSnapshot(const std::string &path, uint64_t fingerprint,
-                     uint64_t consumed, uint32_t window_crc,
-                     const TraceSink &sink);
-
-/** Snapshot header fields + validated state blob, for tests. */
-struct SnapshotImage
-{
-    uint64_t fingerprint = 0;
-    uint64_t consumed = 0;
-    uint32_t windowCrc = 0;
-    std::vector<uint8_t> state;
-};
-
-/**
- * Read and fully validate a snapshot file: magic, version, header
- * CRC, and every section CRC in the state blob — all *before* any
- * component state is touched. @return Corruption/IoError on any
- * defect (including a torn tail).
- */
-Result<SnapshotImage> loadSnapshot(const std::string &path);
-
-/**
- * Rolling CRC fingerprint over the last K consumed trace records —
- * the divergence oracle's evidence that a restored run is consuming
- * the same trace at the same position as the run that snapshotted.
- */
-class TraceWindowCrc
-{
-  public:
-    static constexpr size_t kWindow = 1024;
-
-    void push(const DynInst &di);
-
-    /** CRC over the window's record hashes, oldest to newest. */
-    uint32_t value() const;
-
-  private:
-    uint32_t ring_[kWindow] = {};
-    uint64_t count_ = 0;
-};
+    return drainTraceBatched(source, sink);
+}
 
 } // namespace rarpred::driver
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "cpu/ooo_cpu.hh"
 #include "faultinject/driver_faults.hh"
@@ -62,6 +63,24 @@ numericFlag(const char *arg, const char *flag, uint64_t *out)
     return Status{};
 }
 
+/**
+ * InvalidArgument naming @p flag unless @p v fits in @p max: a value
+ * that does not fit its field must be rejected, not wrapped.
+ */
+Status
+checkFits(const char *flag, uint64_t v, uint64_t max)
+{
+    if (v <= max)
+        return Status{};
+    return Status::invalidArgument(std::string(flag) + "=" +
+                                   std::to_string(v) +
+                                   " is out of range (max " +
+                                   std::to_string(max) + ")");
+}
+
+constexpr uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+
 } // namespace
 
 Result<SweepOptions>
@@ -75,6 +94,8 @@ parseSweepArgs(int argc, char **argv)
                 std::string("RARPRED_WORKERS wants a decimal number, "
                             "got '") +
                 env + "'");
+        RARPRED_RETURN_IF_ERROR(
+            checkFits("RARPRED_WORKERS", v, kMaxUnsigned));
         opts.runner.workers = (unsigned)v;
     }
 
@@ -95,8 +116,6 @@ parseSweepArgs(int argc, char **argv)
         {"--deadline-ms", &opts.runner.jobDeadlineMs},
         {"--retry-backoff-ms", &opts.runner.retryBackoffMs},
         {"--trace-budget-bytes", &opts.runner.traceBudgetBytes},
-        {"--snapshot-every", &opts.runner.snapshotEvery},
-        {"--audit-every", &opts.runner.auditEvery},
         {"--workers-proc", &proc_workers},
         {"--worker-heartbeat-ms", &opts.runner.workerHeartbeatTimeoutMs},
     };
@@ -124,14 +143,6 @@ parseSweepArgs(int argc, char **argv)
         if (const char *v = flagValue(arg, "--resume")) {
             opts.io.journalPath = v;
             opts.io.resume = true;
-            continue;
-        }
-        if (std::strcmp(arg, "--restore") == 0) {
-            opts.runner.restoreSnapshots = true;
-            continue;
-        }
-        if (const char *v = flagValue(arg, "--snapshot-dir")) {
-            opts.runner.snapshotDir = v;
             continue;
         }
         Status s = numericFlag(arg, "--workers", &workers);
@@ -165,6 +176,8 @@ parseSweepArgs(int argc, char **argv)
         uint64_t budget_traces = 0;
         s = numericFlag(arg, "--trace-budget", &budget_traces);
         if (s.ok()) {
+            RARPRED_RETURN_IF_ERROR(
+                checkFits("--trace-budget", budget_traces, kMaxU32));
             opts.runner.traceBudgetTraces = (uint32_t)budget_traces;
             continue;
         }
@@ -188,6 +201,13 @@ parseSweepArgs(int argc, char **argv)
         opts.positional.push_back(arg);
     }
 
+    RARPRED_RETURN_IF_ERROR(checkFits("--workers", workers, kMaxUnsigned));
+    RARPRED_RETURN_IF_ERROR(
+        checkFits("--workers-proc", proc_workers, kMaxUnsigned));
+    RARPRED_RETURN_IF_ERROR(checkFits("--scale", scale, kMaxU32));
+    // maxAttempts = retries + 1 must not wrap to 0.
+    RARPRED_RETURN_IF_ERROR(
+        checkFits("--retries", retries, kMaxUnsigned - 1));
     if (saw_workers)
         opts.runner.workers = (unsigned)workers;
     if (proc_workers != 0) {
@@ -212,12 +232,6 @@ parseSweepArgs(int argc, char **argv)
         return Status::invalidArgument(
             "--resume needs a journal path (--journal=PATH or "
             "--resume=PATH)");
-    if (opts.runner.restoreSnapshots && opts.runner.snapshotDir.empty())
-        return Status::invalidArgument(
-            "--restore needs --snapshot-dir=DIR");
-    if (opts.runner.snapshotEvery != 0 && opts.runner.snapshotDir.empty())
-        return Status::invalidArgument(
-            "--snapshot-every needs --snapshot-dir=DIR");
     return opts;
 }
 
@@ -243,17 +257,12 @@ sweepUsage()
         "                           footprint incl. trace headers)\n"
         "  --journal=PATH           checkpoint completed jobs to PATH\n"
         "  --resume[=PATH]          resume an interrupted sweep\n"
-        "  --snapshot-dir=DIR       per-job epoch snapshots in DIR\n"
-        "  --snapshot-every=N       snapshot every N instructions\n"
-        "  --restore                resume jobs from their snapshots\n"
-        "  --audit-every=N          audit hint tables every N insts\n"
         "  --help | -h              show this help\n"
         "env RARPRED_FAULT=point:index[xN],... arms driver fault\n"
         "points (job_crash, job_hang, job_kill, journal_torn,\n"
-        "cache_pressure, snapshot_torn, snapshot_stale,\n"
-        "state_bitflip, epoch_kill, worker_crash, worker_hang,\n"
-        "worker_flap, worker_result_torn, worker_result_dup,\n"
-        "store_enospc) for crash drills.\n";
+        "cache_pressure, worker_crash, worker_hang, worker_flap,\n"
+        "worker_result_torn, worker_result_dup, store_enospc) for\n"
+        "crash drills.\n";
 }
 
 int
@@ -272,7 +281,7 @@ finishSweep(SimJobRunner &runner, const Status &status, std::ostream &err,
                "stopped\n";
         return 130;
     }
-    return 1;
+    return status.code() == StatusCode::InvalidArgument ? 2 : 1;
 }
 
 CpuStats
@@ -281,7 +290,7 @@ simulateCell(const service::CellConfigMsg &config, TraceSource &trace)
     CpuConfig core;
     core.memDep = config.memDepPolicy();
     OooCpu cpu(core, config.toTimingConfig());
-    pumpSimulation(trace, cpu);
+    drainTraceBatched(trace, cpu);
     return cpu.stats();
 }
 

@@ -99,7 +99,9 @@ const char *sweepUsage();
  * Standard sweep epilogue for CLI drivers: report @p status, dump
  * the failure table (if any) and runner stats to @p err, and map the
  * outcome to a process exit code — 0 on success, 130 on an
- * interrupting signal (with a hint to --resume), 1 otherwise.
+ * interrupting signal (with a hint to --resume), 2 on a usage error
+ * (InvalidArgument, e.g. --workers-proc on a closure sweep), 1
+ * otherwise.
  *
  * With a non-null @p merger that recorded failed rows, one
  * "sweep.errorsJson <array>" line is emitted to @p err using
@@ -147,26 +149,11 @@ struct SweepResult
 /**
  * The standard CPU cell: simulate @p trace on an OooCpu built from
  * @p config and return its stats. This is the one cell body behind
- * runCellSweep(), rarpred-worker and the sweep service. It pumps
- * through pumpSimulation(), so the calling thread's SimContext
- * (--snapshot-dir, --audit-every) applies when it runs in-process.
+ * runCellSweep(), rarpred-worker and the sweep service.
  */
 CpuStats simulateCell(const service::CellConfigMsg &config,
                       TraceSource &trace);
 
-/**
- * Run @p cell for every (workload, config index) pair, workload-
- * major, fanned out over @p runner's workers.
- *
- * @param cell Callable (const Workload &, size_t config, TraceSource
- *        &, Rng &) -> R or -> Result<R>; invoked concurrently from
- *        worker threads. Returning a non-OK Result (or throwing)
- *        fails the attempt, triggering retry/quarantine.
- * @param io Optional journal checkpoint/resume (requires R to be
- *        trivially copyable).
- * @return SweepResult with cells[wi * num_configs + ci], identical
- *         bytes for any worker count — and across resume.
- */
 /**
  * Run the standard CPU-cell sweep: one OooCpu per (workload, config)
  * cell, built from a service::CellConfigMsg grid — the same cell
@@ -185,6 +172,23 @@ runCellSweep(SimJobRunner &runner,
              const std::vector<service::CellConfigMsg> &configs,
              const SweepIo &io = {});
 
+/**
+ * Run @p cell for every (workload, config index) pair, workload-
+ * major, fanned out over @p runner's workers.
+ *
+ * @param cell Callable (const Workload &, size_t config, TraceSource
+ *        &, Rng &) -> R or -> Result<R>; invoked concurrently from
+ *        worker threads. Returning a non-OK Result (or throwing)
+ *        fails the attempt, triggering retry/quarantine.
+ * @param io Optional journal checkpoint/resume (requires R to be
+ *        trivially copyable).
+ * @return SweepResult with cells[wi * num_configs + ci], identical
+ *         bytes for any worker count — and across resume. A closure
+ *         cannot run in a worker process, so a runner with a worker
+ *         pool (--workers-proc) fails the sweep with InvalidArgument
+ *         before any cell runs; runCellSweep() is the sweep that
+ *         worker processes can serve.
+ */
 template <typename Fn>
 auto
 runSweep(SimJobRunner &runner,
@@ -205,6 +209,13 @@ runSweep(SimJobRunner &runner,
             n, Result<R>(Status::failedPrecondition("job never ran"))),
         Status{}};
     std::vector<char> done(n, 0);
+
+    if (runner.workerPool() != nullptr) {
+        out.status = Status::invalidArgument(
+            "--workers-proc is not supported by this sweep: its cells "
+            "are closures that only run in-process (use --workers=N)");
+        return out;
+    }
 
     // ------------------------------------------------ journal setup
     std::unique_ptr<SweepJournal> journal;

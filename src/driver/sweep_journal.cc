@@ -1,11 +1,15 @@
 #include "driver/sweep_journal.hh"
 
+#include <fcntl.h>
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
+#include <fstream>
 
 #include "common/crc32.hh"
+#include "common/io_util.hh"
 #include "common/statesave.hh"
 #include "faultinject/driver_faults.hh"
 
@@ -66,9 +70,24 @@ encodeHeader(uint8_t (&h)[kHeaderBytes], uint64_t fingerprint,
 
 } // namespace
 
-SweepJournal::SweepJournal(const std::string &path, std::ofstream out)
-    : path_(path), out_(std::move(out))
+SweepJournal::SweepJournal(const std::string &path, int fd)
+    : path_(path), fd_(fd)
 {
+}
+
+SweepJournal::~SweepJournal()
+{
+    ::close(fd_);
+}
+
+Result<std::unique_ptr<SweepJournal>>
+SweepJournal::openAppend(const std::string &path)
+{
+    const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if (fd < 0)
+        return Status::ioError("cannot open sweep journal for append: " +
+                               path + ": " + std::strerror(errno));
+    return std::unique_ptr<SweepJournal>(new SweepJournal(path, fd));
 }
 
 Result<std::unique_ptr<SweepJournal>>
@@ -84,12 +103,7 @@ SweepJournal::create(const std::string &path, uint64_t fingerprint,
     // rename so the header is all-or-nothing.
     RARPRED_RETURN_IF_ERROR(
         durableWriteFile(path, header, sizeof(header)));
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    if (!out)
-        return Status::ioError("cannot open sweep journal for append: " +
-                               path);
-    return std::unique_ptr<SweepJournal>(
-        new SweepJournal(path, std::move(out)));
+    return openAppend(path);
 }
 
 Result<SweepJournal::Replay>
@@ -188,14 +202,9 @@ SweepJournal::openResume(const std::string &path, uint64_t fingerprint,
         return Status::ioError("cannot truncate torn journal tail: " +
                                path);
 
-    std::ofstream app(path, std::ios::binary | std::ios::app);
-    if (!app)
-        return Status::ioError("cannot open journal for append: " + path);
-
-    if (out != nullptr)
+    auto journal = openAppend(path);
+    if (journal.ok() && out != nullptr)
         *out = std::move(*replay);
-    auto journal = std::unique_ptr<SweepJournal>(
-        new SweepJournal(path, std::move(app)));
     return journal;
 }
 
@@ -206,32 +215,29 @@ SweepJournal::append(uint64_t job, const void *payload, size_t len)
     if (!status_.ok())
         return status_;
 
-    uint8_t fixed[12];
+    // One buffer, one write(): fixed part, payload, CRC.
+    std::vector<uint8_t> rec(kRecordOverhead + len);
+    uint8_t *fixed = rec.data();
     putU64(fixed + 0, job);
     putU32(fixed + 8, (uint32_t)len);
-    uint32_t crc = crc32(fixed, sizeof(fixed));
-    crc = crc32Update(crc, payload, len);
-    uint8_t crc_buf[4];
-    putU32(crc_buf, crc);
+    if (len > 0)
+        std::memcpy(fixed + 12, payload, len);
+    putU32(fixed + 12 + len, crc32(fixed, 12 + len));
 
     if (driverFaultFires(DriverFaultPoint::JournalTornWrite, appended_)) {
         // Simulated power cut mid-write: half the fixed part reaches
         // the disk, then the journal goes dark.
-        out_.write((const char *)fixed, sizeof(fixed) / 2);
-        out_.flush();
+        (void)writeFull(fd_, fixed, 12 / 2);
         status_ = Status::ioError(
             "injected torn write on journal record " +
             std::to_string(appended_));
         return status_;
     }
 
-    out_.write((const char *)fixed, sizeof(fixed));
-    if (len > 0)
-        out_.write((const char *)payload, len);
-    out_.write((const char *)crc_buf, sizeof(crc_buf));
-    out_.flush();
-    if (!out_) {
-        status_ = Status::ioError("journal append failed: " + path_);
+    const Status written = writeFull(fd_, rec.data(), rec.size());
+    if (!written.ok()) {
+        status_ = Status::ioError("journal append failed: " + path_ +
+                                  ": " + written.message());
         return status_;
     }
     ++appended_;

@@ -27,11 +27,14 @@
  *                        copyable, written verbatim)
  *     u32 crc32 over jobIndex + payloadLen + payload
  *
- * Durability: every append is flushed before append() returns, so
- * after a SIGKILL the file holds every completed job plus at most one
- * torn tail record. load() validates record CRCs and *truncates* a
- * torn or corrupt tail instead of trusting it; the jobs it covered
- * simply re-run.
+ * Durability: every append reaches the kernel in one write() before
+ * append() returns, so after a SIGKILL the file holds every completed
+ * job plus at most one torn tail record. load() validates record CRCs
+ * and *truncates* a torn or corrupt tail instead of trusting it; the
+ * jobs it covered simply re-run.
+ *
+ * The append fd is opened O_CLOEXEC, so worker processes spawned
+ * during a --workers-proc sweep never inherit it.
  *
  * Thread safety: append() may be called concurrently from worker
  * threads (serialized internally). load()/openResume() must not race
@@ -42,7 +45,6 @@
 #define RARPRED_DRIVER_SWEEP_JOURNAL_HH_
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -100,8 +102,13 @@ class SweepJournal
     openResume(const std::string &path, uint64_t fingerprint,
                uint64_t num_jobs, Replay *out);
 
+    ~SweepJournal();
+
+    SweepJournal(const SweepJournal &) = delete;
+    SweepJournal &operator=(const SweepJournal &) = delete;
+
     /**
-     * Append one completed job's payload and flush. Errors latch:
+     * Append one completed job's payload. Errors latch:
      * the first failure is returned (and kept in status()); further
      * appends become no-ops. A latched journal error never aborts
      * the sweep — the caller just loses resumability.
@@ -116,10 +123,14 @@ class SweepJournal
     const std::string &path() const { return path_; }
 
   private:
-    SweepJournal(const std::string &path, std::ofstream out);
+    SweepJournal(const std::string &path, int fd);
+
+    /** Open @p path for appending (O_APPEND | O_CLOEXEC). */
+    static Result<std::unique_ptr<SweepJournal>>
+    openAppend(const std::string &path);
 
     std::string path_;
-    std::ofstream out_;
+    int fd_;
     std::mutex mu_;
     uint64_t appended_ = 0;
     Status status_;

@@ -107,8 +107,6 @@ class BeaconTraceSource : public TraceSource
         return inner_.nextBlock(out, max);
     }
 
-    bool rewindToStart() override { return inner_.rewindToStart(); }
-
   private:
     void
     tick(size_t records)

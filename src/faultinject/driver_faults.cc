@@ -39,14 +39,6 @@ driverFaultPointName(DriverFaultPoint point)
         return "journal_torn";
       case DriverFaultPoint::CachePressure:
         return "cache_pressure";
-      case DriverFaultPoint::SnapshotTorn:
-        return "snapshot_torn";
-      case DriverFaultPoint::SnapshotStale:
-        return "snapshot_stale";
-      case DriverFaultPoint::StateBitflip:
-        return "state_bitflip";
-      case DriverFaultPoint::EpochKill:
-        return "epoch_kill";
       case DriverFaultPoint::ConnDrop:
         return "conn_drop";
       case DriverFaultPoint::RequestTorn:
@@ -161,14 +153,6 @@ armOneSpec(const std::string &item)
         point = DriverFaultPoint::JournalTornWrite;
     else if (name == "cache_pressure")
         point = DriverFaultPoint::CachePressure;
-    else if (name == "snapshot_torn")
-        point = DriverFaultPoint::SnapshotTorn;
-    else if (name == "snapshot_stale")
-        point = DriverFaultPoint::SnapshotStale;
-    else if (name == "state_bitflip")
-        point = DriverFaultPoint::StateBitflip;
-    else if (name == "epoch_kill")
-        point = DriverFaultPoint::EpochKill;
     else if (name == "conn_drop")
         point = DriverFaultPoint::ConnDrop;
     else if (name == "request_torn")

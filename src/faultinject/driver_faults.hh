@@ -23,19 +23,6 @@
  *                      and latches an I/O error (simulated power cut).
  *  - CachePressure   : TraceCache behaves as if its memory budget
  *                      were one trace, evicting on every admit.
- *  - SnapshotTorn    : the epoch snapshot writer persists only half
- *                      of the image (simulated power cut mid-write);
- *                      a later --restore must reject it by CRC.
- *  - SnapshotStale   : the snapshot is written with a wrong job
- *                      fingerprint, as if left over from a different
- *                      configuration; --restore must reject it.
- *  - StateBitflip    : a structural invariant of a hint table (DDT,
- *                      DPNT, synonym file, SRT — round-robin by fire
- *                      count, DDT first) is violated mid-simulation;
- *                      the online auditor must detect and flush it.
- *  - EpochKill       : SIGKILL immediately after the Nth epoch
- *                      snapshot is durably on disk — for end-to-end
- *                      kill/--restore byte-identity tests.
  *  - ConnDrop        : the service daemon closes a client connection
  *                      mid-reply-stream (simulated network fault);
  *                      the daemon must keep serving other tenants.
@@ -99,10 +86,6 @@ enum class DriverFaultPoint : uint8_t
     JobKill,
     JournalTornWrite,
     CachePressure,
-    SnapshotTorn,
-    SnapshotStale,
-    StateBitflip,
-    EpochKill,
     ConnDrop,
     RequestTorn,
     StoreCorrupt,
@@ -146,12 +129,10 @@ uint64_t driverFaultFireCount(DriverFaultPoint point);
  * Arm fault points from a spec string:
  *   spec     := point ":" index [ "x" times ] { "," spec }
  *   point    := job_crash | job_hang | job_kill | journal_torn |
- *               cache_pressure | snapshot_torn | snapshot_stale |
- *               state_bitflip | epoch_kill | conn_drop |
- *               request_torn | store_corrupt | daemon_kill |
- *               worker_crash | worker_hang | worker_flap |
- *               worker_result_torn | worker_result_dup |
- *               store_enospc
+ *               cache_pressure | conn_drop | request_torn |
+ *               store_corrupt | daemon_kill | worker_crash |
+ *               worker_hang | worker_flap | worker_result_torn |
+ *               worker_result_dup | store_enospc
  *   index    := decimal target index, or "*" for any
  *   times    := decimal fire budget (default 1)
  * e.g. "job_kill:40", "job_crash:3x2,cache_pressure:*".

@@ -44,31 +44,4 @@ Cache::invalidate(uint64_t addr)
     tags_.erase(blockOf(addr));
 }
 
-void
-Cache::saveState(StateWriter &w) const
-{
-    tags_.saveState(w, [](StateWriter &out, const LineMeta &m) {
-        out.boolean(m.dirty);
-    });
-    w.u64(hits_.value());
-    w.u64(misses_.value());
-}
-
-Status
-Cache::restoreState(StateReader &r)
-{
-    RARPRED_RETURN_IF_ERROR(
-        tags_.restoreState(r, [](StateReader &in, LineMeta *m) {
-            return in.boolean(&m->dirty);
-        }));
-    uint64_t hits = 0, misses = 0;
-    RARPRED_RETURN_IF_ERROR(r.u64(&hits));
-    RARPRED_RETURN_IF_ERROR(r.u64(&misses));
-    hits_.reset();
-    hits_ += hits;
-    misses_.reset();
-    misses_ += misses;
-    return Status{};
-}
-
 } // namespace rarpred

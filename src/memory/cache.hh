@@ -13,7 +13,6 @@
 
 #include "common/bitutils.hh"
 #include "common/set_assoc_table.hh"
-#include "common/statesave.hh"
 #include "common/stats.hh"
 
 namespace rarpred {
@@ -63,10 +62,6 @@ class Cache
 
     /** Hit latency in cycles. */
     unsigned hitLatency() const { return config_.hitLatency; }
-
-    /** Serialize the tag store (exact LRU order) and hit counters. */
-    void saveState(StateWriter &w) const;
-    Status restoreState(StateReader &r);
 
   private:
     struct LineMeta

@@ -56,27 +56,6 @@ class MemorySystem
     const Cache &l1i() const { return l1i_; }
     const Cache &l2() const { return l2_; }
 
-    /** Serialize all three caches and both write buffers. */
-    void
-    saveState(StateWriter &w) const
-    {
-        l1d_.saveState(w);
-        l1i_.saveState(w);
-        l2_.saveState(w);
-        l1ToL2_.saveState(w);
-        l2ToMem_.saveState(w);
-    }
-
-    Status
-    restoreState(StateReader &r)
-    {
-        RARPRED_RETURN_IF_ERROR(l1d_.restoreState(r));
-        RARPRED_RETURN_IF_ERROR(l1i_.restoreState(r));
-        RARPRED_RETURN_IF_ERROR(l2_.restoreState(r));
-        RARPRED_RETURN_IF_ERROR(l1ToL2_.restoreState(r));
-        return l2ToMem_.restoreState(r);
-    }
-
   private:
     /** L2-and-below latency for a demand miss from an L1. */
     unsigned l2Access(uint64_t addr, uint64_t cycle, bool is_write);

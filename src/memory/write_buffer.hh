@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/bitutils.hh"
-#include "common/statesave.hh"
 #include "common/stats.hh"
 
 namespace rarpred {
@@ -95,43 +94,6 @@ class WriteBuffer
     size_t occupancy() const { return size_; }
     uint64_t combines() const { return combines_.value(); }
     uint64_t fullStalls() const { return fullStalls_.value(); }
-
-    void
-    saveState(StateWriter &w) const
-    {
-        w.u64(size_);
-        for (size_t i = 0; i < size_; ++i) {
-            w.u64(at(i).block);
-            w.u64(at(i).drainDone);
-        }
-        w.u64(combines_.value());
-        w.u64(fullStalls_.value());
-    }
-
-    Status
-    restoreState(StateReader &r)
-    {
-        uint64_t size = 0;
-        RARPRED_RETURN_IF_ERROR(r.u64(&size));
-        if (size > capacity_)
-            return Status::corruption("write buffer image over capacity");
-        head_ = 0;
-        size_ = 0;
-        for (uint64_t i = 0; i < size; ++i) {
-            Entry e{};
-            RARPRED_RETURN_IF_ERROR(r.u64(&e.block));
-            RARPRED_RETURN_IF_ERROR(r.u64(&e.drainDone));
-            ring_[size_++] = e;
-        }
-        uint64_t combines = 0, stalls = 0;
-        RARPRED_RETURN_IF_ERROR(r.u64(&combines));
-        RARPRED_RETURN_IF_ERROR(r.u64(&stalls));
-        combines_.reset();
-        combines_ += combines;
-        fullStalls_.reset();
-        fullStalls_ += stalls;
-        return Status{};
-    }
 
   private:
     struct Entry

@@ -14,40 +14,8 @@
 
 #include "common/bitutils.hh"
 #include "common/sat_counter.hh"
-#include "common/statesave.hh"
 
 namespace rarpred {
-
-namespace detail {
-
-/** Serialize a saturating-counter table (values only; widths fixed). */
-inline void
-saveCounterTable(StateWriter &w, const std::vector<SatCounter> &table)
-{
-    w.u64(table.size());
-    for (const SatCounter &c : table)
-        w.u8(c.value());
-}
-
-inline Status
-restoreCounterTable(StateReader &r, std::vector<SatCounter> &table)
-{
-    uint64_t size = 0;
-    RARPRED_RETURN_IF_ERROR(r.u64(&size));
-    if (size != table.size())
-        return Status::failedPrecondition(
-            "predictor snapshot has a different table size");
-    for (SatCounter &c : table) {
-        uint8_t v = 0;
-        RARPRED_RETURN_IF_ERROR(r.u8(&v));
-        if (v > c.maxValue())
-            return Status::corruption("saturating counter over max");
-        c.set(v);
-    }
-    return Status{};
-}
-
-} // namespace detail
 
 /** Classic 2-bit-counter bimodal predictor. */
 class BimodalPredictor
@@ -57,16 +25,6 @@ class BimodalPredictor
 
     bool predict(uint64_t pc) const;
     void update(uint64_t pc, bool taken);
-
-    void saveState(StateWriter &w) const
-    {
-        detail::saveCounterTable(w, table_);
-    }
-
-    Status restoreState(StateReader &r)
-    {
-        return detail::restoreCounterTable(r, table_);
-    }
 
   private:
     size_t indexOf(uint64_t pc) const { return (pc >> 2) & mask_; }
@@ -89,21 +47,6 @@ class GsharePredictor
 
     /** Update counter and shift @p taken into the global history. */
     void update(uint64_t pc, bool taken);
-
-    void saveState(StateWriter &w) const
-    {
-        detail::saveCounterTable(w, table_);
-        w.u64(history_);
-    }
-
-    Status restoreState(StateReader &r)
-    {
-        RARPRED_RETURN_IF_ERROR(detail::restoreCounterTable(r, table_));
-        RARPRED_RETURN_IF_ERROR(r.u64(&history_));
-        if ((history_ & ~historyMask_) != 0)
-            return Status::corruption("global history out of range");
-        return Status{};
-    }
 
   private:
     size_t
@@ -148,24 +91,6 @@ class CombinedPredictor
         return p == taken;
     }
 
-    void saveState(StateWriter &w) const
-    {
-        bimodal_.saveState(w);
-        gshare_.saveState(w);
-        detail::saveCounterTable(w, chooser_);
-        w.u64(lookups_);
-        w.u64(correct_);
-    }
-
-    Status restoreState(StateReader &r)
-    {
-        RARPRED_RETURN_IF_ERROR(bimodal_.restoreState(r));
-        RARPRED_RETURN_IF_ERROR(gshare_.restoreState(r));
-        RARPRED_RETURN_IF_ERROR(detail::restoreCounterTable(r, chooser_));
-        RARPRED_RETURN_IF_ERROR(r.u64(&lookups_));
-        return r.u64(&correct_);
-    }
-
   private:
     size_t indexOf(uint64_t pc) const { return (pc >> 2) & mask_; }
 
@@ -203,31 +128,6 @@ class ReturnAddressStack
     }
 
     size_t size() const { return stack_.size(); }
-
-    void
-    saveState(StateWriter &w) const
-    {
-        w.u64(stack_.size());
-        for (uint64_t pc : stack_)
-            w.u64(pc);
-    }
-
-    Status
-    restoreState(StateReader &r)
-    {
-        uint64_t size = 0;
-        RARPRED_RETURN_IF_ERROR(r.u64(&size));
-        if (size > depth_)
-            return Status::corruption("return stack image over depth");
-        stack_.clear();
-        stack_.reserve(size);
-        for (uint64_t i = 0; i < size; ++i) {
-            uint64_t pc = 0;
-            RARPRED_RETURN_IF_ERROR(r.u64(&pc));
-            stack_.push_back(pc);
-        }
-        return Status{};
-    }
 
   private:
     size_t depth_;

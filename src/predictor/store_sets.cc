@@ -96,39 +96,4 @@ StoreSetPredictor::clear()
     nextSsid_ = 0;
 }
 
-void
-StoreSetPredictor::saveState(StateWriter &w) const
-{
-    w.u64(ssit_.size());
-    for (uint32_t ssid : ssit_)
-        w.u32(ssid);
-    w.u64(lfst_.size());
-    for (uint64_t seq : lfst_)
-        w.u64(seq);
-    w.u32(nextSsid_);
-    w.u64(assignments_);
-    w.u64(merges_);
-}
-
-Status
-StoreSetPredictor::restoreState(StateReader &r)
-{
-    uint64_t size = 0;
-    RARPRED_RETURN_IF_ERROR(r.u64(&size));
-    if (size != ssit_.size())
-        return Status::failedPrecondition(
-            "store-set snapshot has a different SSIT size");
-    for (uint32_t &ssid : ssit_)
-        RARPRED_RETURN_IF_ERROR(r.u32(&ssid));
-    RARPRED_RETURN_IF_ERROR(r.u64(&size));
-    if (size != lfst_.size())
-        return Status::failedPrecondition(
-            "store-set snapshot has a different LFST size");
-    for (uint64_t &seq : lfst_)
-        RARPRED_RETURN_IF_ERROR(r.u64(&seq));
-    RARPRED_RETURN_IF_ERROR(r.u32(&nextSsid_));
-    RARPRED_RETURN_IF_ERROR(r.u64(&assignments_));
-    return r.u64(&merges_);
-}
-
 } // namespace rarpred

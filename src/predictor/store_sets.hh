@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/bitutils.hh"
-#include "common/statesave.hh"
 
 namespace rarpred {
 
@@ -80,10 +79,6 @@ class StoreSetPredictor
 
     uint64_t assignments() const { return assignments_; }
     uint64_t merges() const { return merges_; }
-
-    /** Serialize both tables, the SSID allocator, and counters. */
-    void saveState(StateWriter &w) const;
-    Status restoreState(StateReader &r);
 
   private:
     static constexpr uint32_t kNoSsid = ~0u;

@@ -4,9 +4,8 @@
  *
  * Transport is a local Unix-domain stream socket; on top of it runs a
  * length-prefixed, CRC-32-framed message protocol following the
- * repo's binary-format conventions (trace v2, RARJ journal, RARS
- * snapshots): little-endian scalars, explicit lengths, CRC-guarded
- * frames.
+ * repo's binary-format conventions (trace v2, RARJ journal):
+ * little-endian scalars, explicit lengths, CRC-guarded frames.
  *
  * Frame layout:
  *   u32 magic "RARF"

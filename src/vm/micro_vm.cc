@@ -270,41 +270,4 @@ MicroVM::run(uint64_t max_insts)
     return n;
 }
 
-void
-MicroVM::saveState(StateWriter &w) const
-{
-    w.u64(program_.code().size());
-    w.u64(memWords_.size());
-    for (uint64_t r = 0; r < reg::kNumRegs; ++r)
-        w.u64(regs_[r]);
-    for (uint64_t word : memWords_)
-        w.u64(word);
-    w.u64(pcIndex_);
-    w.u64(seq_);
-    w.boolean(halted_);
-}
-
-Status
-MicroVM::restoreState(StateReader &r)
-{
-    uint64_t codeSize = 0, memSize = 0;
-    RARPRED_RETURN_IF_ERROR(r.u64(&codeSize));
-    RARPRED_RETURN_IF_ERROR(r.u64(&memSize));
-    if (codeSize != program_.code().size() ||
-        memSize != memWords_.size()) {
-        return Status::failedPrecondition(
-            "VM snapshot was taken over a different program");
-    }
-    for (uint64_t reg = 0; reg < reg::kNumRegs; ++reg)
-        RARPRED_RETURN_IF_ERROR(r.u64(&regs_[reg]));
-    for (uint64_t &word : memWords_)
-        RARPRED_RETURN_IF_ERROR(r.u64(&word));
-    RARPRED_RETURN_IF_ERROR(r.u64(&pcIndex_));
-    RARPRED_RETURN_IF_ERROR(r.u64(&seq_));
-    RARPRED_RETURN_IF_ERROR(r.boolean(&halted_));
-    if (!halted_ && pcIndex_ >= program_.code().size())
-        return Status::corruption("VM snapshot pc outside the program");
-    return Status{};
-}
-
 } // namespace rarpred

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/statesave.hh"
 #include "isa/program.hh"
 #include "vm/trace.hh"
 
@@ -66,15 +65,6 @@ class MicroVM : public TraceSource
 
     /** @return data memory size in bytes. */
     uint64_t memBytes() const { return memWords_.size() * 8; }
-
-    /**
-     * Serialize the architectural state (registers, data memory,
-     * trace cursor). The Program itself is not serialized — a restore
-     * target must be constructed over the same program, which is
-     * checked via size echoes.
-     */
-    void saveState(StateWriter &w) const;
-    Status restoreState(StateReader &r);
 
   private:
     uint64_t regRead(RegId r) const;

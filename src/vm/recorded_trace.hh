@@ -135,23 +135,6 @@ class RecordedTraceSource : public TraceSource
     /** Restart replay from the beginning. */
     void rewind() { pos_ = 0; }
 
-    bool
-    rewindToStart() override
-    {
-        pos_ = 0;
-        return true;
-    }
-
-    /** Index of the next record next() will produce. */
-    size_t position() const { return pos_; }
-
-    /** Jump the cursor (clamped to the trace length). */
-    void
-    seek(size_t pos)
-    {
-        pos_ = pos > trace_.size() ? trace_.size() : pos;
-    }
-
   private:
     const RecordedTrace &trace_;
     size_t pos_ = 0;

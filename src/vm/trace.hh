@@ -102,14 +102,6 @@ class TraceSource
             ++n;
         return n;
     }
-
-    /**
-     * Restart the stream from its first instruction, if the source
-     * supports it. The snapshot restore path uses this to fall back
-     * to a from-scratch run after rejecting a divergent snapshot.
-     * @return false when the source cannot rewind (the default).
-     */
-    virtual bool rewindToStart() { return false; }
 };
 
 /**

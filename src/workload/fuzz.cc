@@ -8,10 +8,10 @@
 
 #include "common/rng.hh"
 #include "core/cloaking.hh"
-#include "driver/sim_snapshot.hh"
 #include "driver/sweep.hh"
 #include "faultinject/safety_oracle.hh"
 #include "vm/recorded_trace.hh"
+#include "vm/trace.hh"
 
 namespace rarpred {
 
@@ -188,7 +188,7 @@ checkFuzzCase(const FuzzCase &c)
         runner, workloads, 1,
         [](const Workload &, size_t, TraceSource &trace, Rng &) {
             CloakingEngine engine(fuzzCloakingConfig());
-            driver::pumpSimulation(trace, engine);
+            drainTraceBatched(trace, engine);
             return engine.stats();
         });
     if (!cells.status.ok()) {

@@ -13,11 +13,11 @@
 
 #include "common/bitutils.hh"
 #include "common/hybrid_table.hh"
-#include "common/lru_table.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/set_assoc_table.hh"
 #include "common/stats.hh"
+#include "lru_table.hh"
 
 namespace rarpred {
 namespace {

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +31,7 @@
 #include "driver/sweep_journal.hh"
 #include "driver/worker_pool.hh"
 #include "faultinject/driver_faults.hh"
+#include "fd_test_util.hh"
 #include "vm/micro_vm.hh"
 #include "vm/recorded_trace.hh"
 #include "workload/workload.hh"
@@ -38,6 +42,10 @@
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define RARPRED_UNDER_SANITIZER 1
 #endif
+#endif
+
+#ifndef RARPRED_EXAMPLES_DIR
+#define RARPRED_EXAMPLES_DIR ""
 #endif
 
 namespace rarpred {
@@ -725,6 +733,76 @@ TEST(SweepJournal, FingerprintIsSensitiveToEveryGridParameter)
     EXPECT_NE(base, driver::sweepFingerprint(w, 3, 8, 1, 2000));
 }
 
+TEST(SweepJournal, CreateWritesDurableHeaderImmediately)
+{
+    const std::string path =
+        ::testing::TempDir() + "rarpred_journal_header.rarj";
+    std::remove(path.c_str());
+    auto journal = driver::SweepJournal::create(path, 0xabcd, 8);
+    ASSERT_TRUE(journal.ok()) << journal.status().toString();
+
+    // The header is on disk (durably, via temp+fsync+rename) before
+    // any append: a SIGKILL here can no longer leave a zero-length
+    // journal that a later --resume chokes on.
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    ASSERT_TRUE(in.good());
+    EXPECT_GE((size_t)in.tellg(), 32u);
+    journal.value().reset(); // close before load
+    auto replay = driver::SweepJournal::load(path);
+    EXPECT_TRUE(replay.ok()) << replay.status().toString();
+    std::remove(path.c_str());
+}
+
+/** F_GETFD flags of this process's fd open on @p path; -1 if none. */
+int
+fdFlagsOfOpenFile(const std::string &path)
+{
+    char want[PATH_MAX];
+    if (::realpath(path.c_str(), want) == nullptr)
+        return -1;
+    for (const int fd : testutil::numericEntries("/proc/self/fd")) {
+        char link[PATH_MAX];
+        const std::string proc = "/proc/self/fd/" + std::to_string(fd);
+        const ssize_t n = ::readlink(proc.c_str(), link, sizeof(link) - 1);
+        if (n <= 0)
+            continue;
+        link[n] = '\0';
+        if (std::strcmp(link, want) == 0)
+            return ::fcntl(fd, F_GETFD);
+    }
+    return -1;
+}
+
+TEST(SweepJournal, AppendFdIsCloseOnExec)
+{
+    // A --workers-proc sweep forks rarpred-worker processes while the
+    // journal is open; its append fd must not leak into them.
+    const std::string path =
+        ::testing::TempDir() + "rarpred_journal_cloexec.rarj";
+    std::remove(path.c_str());
+    {
+        auto journal = driver::SweepJournal::create(path, 0x44, 2);
+        ASSERT_TRUE(journal.ok()) << journal.status().toString();
+        const int flags = fdFlagsOfOpenFile(path);
+        ASSERT_GE(flags, 0) << "journal fd not found";
+        EXPECT_TRUE(flags & FD_CLOEXEC);
+        const uint64_t p = 5;
+        ASSERT_TRUE((*journal)->append(0, &p, sizeof(p)).ok());
+    }
+    EXPECT_EQ(fdFlagsOfOpenFile(path), -1) << "journal fd leaked";
+
+    driver::SweepJournal::Replay replay;
+    auto resumed =
+        driver::SweepJournal::openResume(path, 0x44, 2, &replay);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+    EXPECT_EQ(replay.records.size(), 1u);
+    const int flags = fdFlagsOfOpenFile(path);
+    ASSERT_GE(flags, 0) << "journal fd not found";
+    EXPECT_TRUE(flags & FD_CLOEXEC);
+    resumed.value().reset();
+    std::remove(path.c_str());
+}
+
 // ------------------------------------------------ resume semantics
 
 TEST_F(RunnerFaults, ResumeRunsOnlyTheMissingJobs)
@@ -904,6 +982,28 @@ TEST(SweepResumeE2E, CrashedWorkerProcessBenchStaysByteIdentical)
     std::remove(err_proc.c_str());
 }
 
+TEST(SweepStop, PipelineSpeedupStopsGracefullyOnSigterm)
+{
+    const std::string bin =
+        std::string(RARPRED_EXAMPLES_DIR) + "/pipeline_speedup";
+    if (!std::ifstream(bin).good())
+        GTEST_SKIP() << "example binaries not built in this tree";
+
+    // SIGTERM mid-sweep: the worker finishes its current job, stops
+    // claiming new ones, and the process exits 130 with a --resume
+    // hint — never a crash or a hang. The instruction count must keep
+    // the sweep alive well past the 0.5 s kill delay even on a fast
+    // host (trace generation alone outlasts it), while one job stays
+    // small enough to drain within the test timeout under sanitizers.
+    const int rc = std::system(
+        ("sh -c '" + bin +
+         " tom --serial --max-insts=8000000 >/dev/null 2>/dev/null & "
+         "pid=$!; sleep 0.5; kill -TERM $pid; wait $pid'")
+            .c_str());
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 130);
+}
+
 /** Run @p cmd through the shell with stderr folded into stdout.
  *  @return its exit code (-1 if it did not exit normally); the
  *  output lands in @p out. */
@@ -957,6 +1057,24 @@ TEST(BenchCli, EveryFlagWorksOrIsRejected)
     EXPECT_NE(out.find("unknown fault point: net_drop"),
               std::string::npos)
         << out;
+
+    // Nor is there mid-cell checkpointing or an online auditor.
+    out.clear();
+    EXPECT_EQ(runCapture("RARPRED_FAULT=epoch_kill:0 " + fig9, &out), 2);
+    EXPECT_NE(out.find("unknown fault point: epoch_kill"),
+              std::string::npos)
+        << out;
+
+    // fig5's cells are closures, which cannot run in a worker
+    // process: --workers-proc is refused before any cell runs instead
+    // of being silently ignored.
+    out.clear();
+    EXPECT_EQ(runCapture(dir + "/bench_fig5_ddt_sweep --max-insts=1000 "
+                               "--workers-proc=2",
+                         &out),
+              2);
+    EXPECT_NE(out.find("--workers-proc"), std::string::npos) << out;
+    EXPECT_EQ(out.find("Figure 5"), std::string::npos) << out;
 }
 
 // ------------------------------------------- merged error surfacing
@@ -1188,6 +1306,54 @@ TEST(ParseSweepArgs, RejectsUnknownFlagsAndBadNumbers)
     EXPECT_FALSE(parseArgs({"--max-insts="}).ok());
     EXPECT_FALSE(parseArgs({"--scale=0"}).ok());
     EXPECT_FALSE(parseArgs({"--deadline-ms=12a"}).ok());
+
+    // Mid-cell checkpoint/restore and the online auditor are gone:
+    // their flags are unknown.
+    for (const char *gone : {"--snapshot-dir=/tmp/s", "--snapshot-every=10",
+                             "--restore", "--audit-every=10"}) {
+        auto r = parseArgs({gone});
+        ASSERT_FALSE(r.ok()) << gone;
+        EXPECT_NE(r.status().message().find("unknown flag"),
+                  std::string::npos)
+            << gone;
+    }
+}
+
+TEST(ParseSweepArgs, RejectsValuesThatDoNotFitTheirField)
+{
+    // Parsed, never run: a runner built from a value that fits would
+    // start that many threads or processes.
+    const auto rejects = [](std::vector<std::string> args,
+                            const std::string &flag) {
+        auto r = parseArgs(std::move(args));
+        ASSERT_FALSE(r.ok()) << flag;
+        EXPECT_EQ(r.status().code(), StatusCode::InvalidArgument);
+        EXPECT_NE(r.status().message().find(flag), std::string::npos)
+            << r.status().message();
+    };
+    rejects({"--workers=4294967297"}, "--workers");
+    rejects({"--workers-proc=4294967296"}, "--workers-proc");
+    rejects({"--scale=4294967296"}, "--scale");
+    rejects({"--trace-budget=4294967296"}, "--trace-budget");
+    // maxAttempts = retries + 1 must not wrap to 0.
+    rejects({"--retries=4294967295"}, "--retries");
+
+    auto most = parseArgs({"--scale=4294967295", "--retries=4294967294",
+                           "--trace-budget=4294967295"});
+    ASSERT_TRUE(most.ok()) << most.status().toString();
+    EXPECT_EQ(most->runner.scale, 4294967295u);
+    EXPECT_EQ(most->runner.maxAttempts, 4294967295u);
+    EXPECT_EQ(most->runner.traceBudgetTraces, 4294967295u);
+
+    ASSERT_EQ(setenv("RARPRED_WORKERS", "4294967296", 1), 0);
+    std::vector<char *> argv;
+    static std::string prog = "bench";
+    argv.push_back(prog.data());
+    auto from_env = driver::parseSweepArgs(1, argv.data());
+    unsetenv("RARPRED_WORKERS");
+    ASSERT_FALSE(from_env.ok());
+    EXPECT_NE(from_env.status().message().find("RARPRED_WORKERS"),
+              std::string::npos);
 }
 
 TEST(ParseSweepArgs, WorkersEnvAppliesUntilFlagOverrides)
@@ -1219,8 +1385,7 @@ TEST(ParseSweepArgs, HelpFlagIsRecognizedAndUsageMentionsEveryFlag)
          {"--workers", "--serial", "--scale", "--max-insts", "--retries",
           "--deadline-ms", "--retry-backoff-ms", "--trace-budget",
           "--trace-budget-bytes", "--journal", "--resume",
-          "--snapshot-dir", "--snapshot-every", "--restore",
-          "--audit-every", "--workers-proc", "--worker-heartbeat-ms"})
+          "--workers-proc", "--worker-heartbeat-ms"})
         EXPECT_NE(usage.find(flag), std::string::npos) << flag;
 }
 

@@ -30,9 +30,9 @@
 #include "analysis/inst_mix.hh"
 #include "analysis/locality.hh"
 #include "core/cloaking.hh"
-#include "driver/sim_snapshot.hh"
 #include "driver/sweep.hh"
 #include "vm/recorded_trace.hh"
+#include "vm/trace.hh"
 #include "workload/factory.hh"
 #include "workload/fuzz.hh"
 
@@ -213,7 +213,7 @@ TEST(FactoryDeterminism, SweepStatsWorkerCountInvariant)
             runner, workloads, 1,
             [](const Workload &, size_t, TraceSource &trace, Rng &) {
                 CloakingEngine engine(defaultCloakingConfig());
-                driver::pumpSimulation(trace, engine);
+                drainTraceBatched(trace, engine);
                 return engine.stats();
             });
         ASSERT_TRUE(cells.status.ok()) << cells.status.toString();

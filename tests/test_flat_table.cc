@@ -6,9 +6,8 @@
  *
  * FlatMap is checked operation-for-operation against a
  * std::unordered_map model; FlatLruTable against the list+map
- * FullyAssocLruTable it replaces, including eviction identity, MRU
- * iteration order, and byte-identical saveState images (the snapshot
- * layer depends on the wire formats matching). Directed cases cover
+ * FullyAssocLruTable it replaces (tests/lru_table.hh), including
+ * eviction identity and MRU iteration order. Directed cases cover
  * the probe-path corners: index wraparound past the top slot,
  * tombstone reuse after erase, and the max-load-factor resize.
  */
@@ -21,9 +20,8 @@
 #include <vector>
 
 #include "common/flat_table.hh"
-#include "common/lru_table.hh"
 #include "common/rng.hh"
-#include "common/statesave.hh"
+#include "lru_table.hh"
 
 namespace rarpred {
 namespace {
@@ -238,16 +236,6 @@ listOf(const Table &t)
     return out;
 }
 
-template <typename Table>
-std::vector<uint8_t>
-imageOf(const Table &t)
-{
-    StateWriter w;
-    t.saveState(w,
-                [](StateWriter &sw, const uint64_t &v) { sw.u64(v); });
-    return w.buffer();
-}
-
 class FlatLruFuzz
     : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>>
 {
@@ -313,11 +301,8 @@ TEST_P(FlatLruFuzz, MatchesListMapModel)
         }
     }
 
-    // Recency order and the serialized image must both match bit for
-    // bit — snapshots written by either implementation are
-    // interchangeable.
+    // Recency order must match entry for entry.
     EXPECT_EQ(listOf(table), listOf(model));
-    EXPECT_EQ(imageOf(table), imageOf(model));
     EXPECT_TRUE(table.auditIntegrity());
 
     const ProbeStats s = table.probeStats();
@@ -329,54 +314,6 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndCapacities, FlatLruFuzz,
     ::testing::Combine(::testing::Values(11, 22, 33),
                        ::testing::Values(0, 1, 8, 128)));
-
-TEST(FlatLruTable, CrossRestoreWithLegacyFormat)
-{
-    // Images written by the old list+map table restore into the flat
-    // table (and back), reproducing the exact recency order.
-    ModelLru legacy(8);
-    for (uint64_t k = 0; k < 12; ++k)
-        legacy.insert(k, k * 10);
-    (void)legacy.touch(7); // shuffle recency
-
-    FlatLruTable<uint64_t> flat(8);
-    const std::vector<uint8_t> legacy_img = imageOf(legacy);
-    StateReader r(legacy_img);
-    ASSERT_TRUE(flat.restoreState(r,
-                                  [](StateReader &sr, uint64_t *v) {
-                                      return sr.u64(v);
-                                  })
-                    .ok());
-    EXPECT_EQ(listOf(flat), listOf(legacy));
-    EXPECT_EQ(imageOf(flat), imageOf(legacy));
-
-    // And the reverse direction.
-    ModelLru back(8);
-    const std::vector<uint8_t> flat_img = imageOf(flat);
-    StateReader r2(flat_img);
-    ASSERT_TRUE(back.restoreState(r2,
-                                  [](StateReader &sr, uint64_t *v) {
-                                      return sr.u64(v);
-                                  })
-                    .ok());
-    EXPECT_EQ(listOf(back), listOf(legacy));
-}
-
-TEST(FlatLruTable, RejectsOverCapacityImage)
-{
-    ModelLru big(0);
-    for (uint64_t k = 0; k < 16; ++k)
-        big.insert(k, k);
-    FlatLruTable<uint64_t> small(4);
-    const std::vector<uint8_t> big_img = imageOf(big);
-    StateReader r(big_img);
-    EXPECT_FALSE(small
-                     .restoreState(r,
-                                   [](StateReader &sr, uint64_t *v) {
-                                       return sr.u64(v);
-                                   })
-                     .ok());
-}
 
 } // namespace
 } // namespace rarpred

@@ -29,13 +29,13 @@
 #include <vector>
 
 #include "cpu/ooo_cpu.hh"
-#include "driver/sim_snapshot.hh"
 #include "driver/trace_cache.hh"
 #include "driver/worker_pool.hh"
 #include "faultinject/driver_faults.hh"
 #include "fd_test_util.hh"
 #include "service_test_util.hh"
 #include "vm/recorded_trace.hh"
+#include "vm/trace.hh"
 #include "workload/workload.hh"
 
 namespace rarpred::service {
@@ -92,7 +92,7 @@ TEST_F(ServiceTest, SweepMatchesDirectSimulation)
         CpuConfig core;
         core.memDep = req.configs[ci].memDepPolicy();
         OooCpu cpu(core, req.configs[ci].toTimingConfig());
-        driver::pumpSimulation(replay, cpu);
+        drainTraceBatched(replay, cpu);
         const CpuStats want = cpu.stats();
         const CpuStats &got = reply->rows[ci].stats;
         EXPECT_EQ(got.instructions, want.instructions) << ci;
